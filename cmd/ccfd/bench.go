@@ -542,14 +542,14 @@ func benchTraced(cfg benchConfig, params core.Params, shards int,
 	traced := measured(func() time.Duration {
 		return replay(func(b []uint64) {
 			r := unsampled.StartRequest("")
-			out = s.QueryBatchTracedInto(out[:0], b, pred, r)
+			out, _ = s.QueryBatchContext(nil, out[:0], b, pred, r)
 			unsampled.Finish(r, 200)
 		})
 	})
 	sampled := trace.New(trace.Options{SampleEvery: 1, Recorder: trace.NewRecorder(8, 8)})
 	replay(func(b []uint64) {
 		r := sampled.StartRequest("")
-		out = s.QueryBatchTracedInto(out[:0], b, pred, r)
+		out, _ = s.QueryBatchContext(nil, out[:0], b, pred, r)
 		sampled.Finish(r, 200)
 	})
 

@@ -126,8 +126,11 @@ func TestCrashHelperProcess(t *testing.T) {
 }
 
 // startCrashHelper launches the helper daemon on dir and returns its
-// base URL plus the running command (the caller kills it). extraEnv
-// entries ("KEY=VALUE") are passed through to the child.
+// base URL plus the running command (the caller kills it) once /readyz
+// answers 200, as startDaemon does: filter routes answer 503 until
+// store recovery has attached the catalog, so the tests' first PUT must
+// wait for readiness, not liveness. extraEnv entries ("KEY=VALUE") are
+// passed through to the child.
 func startCrashHelper(t *testing.T, dir string, extraEnv ...string) (string, *exec.Cmd) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run", "^TestCrashHelperProcess$", "-test.v")
@@ -151,13 +154,29 @@ func startCrashHelper(t *testing.T, dir string, extraEnv ...string) (string, *ex
 			}
 		}
 	}()
+	var url string
 	select {
 	case addr := <-addrc:
-		return "http://" + addr, cmd
+		url = "http://" + addr
 	case <-time.After(15 * time.Second):
 		cmd.Process.Kill()
 		t.Fatal("helper daemon never reported its address")
-		return "", nil
+	}
+	for deadline := time.Now().Add(15 * time.Second); ; {
+		resp, err := http.Get(url + "/readyz")
+		if err == nil {
+			code := resp.StatusCode
+			resp.Body.Close()
+			if code == http.StatusOK {
+				return url, cmd
+			}
+			err = fmt.Errorf("readyz: %d", code)
+		}
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			t.Fatalf("helper daemon never became ready: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -171,9 +190,12 @@ func TestCrashRecoveryMidGrowSIGKILL(t *testing.T) {
 	url, cmd := startCrashHelper(t, dir)
 	defer cmd.Process.Kill()
 
-	// Sized for 1024 rows; the writers push far past that.
+	// Sized for 1024 rows; the writers push far past that. Folding is off:
+	// a fold that completes before the kill collapses the ladder back to
+	// one level, and the recovered structure could no longer show the
+	// mid-grow state this test checks.
 	putFilter(t, url, "elastic",
-		`{"variant":"chained","shards":2,"capacity":1024,"num_attrs":2,"auto_grow":{"max_levels":6}}`)
+		`{"variant":"chained","shards":2,"capacity":1024,"num_attrs":2,"auto_grow":{"max_levels":6,"fold_at_levels":-1}}`)
 
 	var mu sync.Mutex
 	var acked []uint64

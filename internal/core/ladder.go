@@ -287,19 +287,22 @@ func keepFalse(pend []int32, out []bool) []int32 {
 	return kept
 }
 
-// QueryBatchIdx answers the batched predicate probe across levels: the
-// newest level runs the full tile pipeline, then each older level probes
-// only the keys still negative (early exit per key, matching the scalar
-// newest→oldest order). See Filter.QueryBatchIdx for the idxs contract.
-func (l *Ladder) QueryBatchIdx(out []bool, keys []uint64, idxs []int32, pred Predicate) {
-	l.QueryBatchIdxWalk(out, keys, idxs, pred)
-}
-
-// QueryBatchIdxWalk is QueryBatchIdx reporting the walk depth: the
-// number of ladder levels actually probed before every key resolved
-// (at least 1; older levels skipped by the early exit don't count).
-// Tracing attaches it as a span attribute so a deep-ladder tail is
-// distinguishable from seqlock contention.
+// QueryBatchIdxWalk is the ladder's one batch walker: the newest level
+// runs the full tile pipeline, then each older level probes only the
+// keys still negative (early exit per key, matching the scalar
+// newest→oldest order). See Filter.QueryBatchIdx for the idxs contract;
+// pred must already have passed Validate for the ladder's NumAttrs.
+//
+// Key membership is the empty predicate. Only KeyView clones carry
+// tombstones and Delete clears slots, so on a ladder every occupied slot
+// holding the key's fingerprint matches an empty predicate, and the walk
+// answers exactly what QueryKey answers for every variant.
+//
+// The result is the walk depth: the number of levels actually probed
+// before every key resolved (at least 1; older levels skipped by the
+// early exit don't count). Tracing attaches it as a span attribute so a
+// deep-ladder tail is distinguishable from seqlock contention; untraced
+// callers ignore it.
 func (l *Ladder) QueryBatchIdxWalk(out []bool, keys []uint64, idxs []int32, pred Predicate) int {
 	lv := l.levels()
 	last := len(lv) - 1
@@ -312,35 +315,6 @@ func (l *Ladder) QueryBatchIdxWalk(out []bool, keys []uint64, idxs []int32, pred
 	pend := pendingFalse(lb.pend[:0], out, len(keys), idxs)
 	for li := last - 1; li >= 0 && len(pend) > 0; li-- {
 		lv[li].QueryBatchIdx(out, keys, pend, pred)
-		walked++
-		if li > 0 {
-			pend = keepFalse(pend, out)
-		}
-	}
-	lb.pend = pend
-	ladderPool.Put(lb)
-	return walked
-}
-
-// ContainsBatchIdx is the batched key-membership probe across levels.
-func (l *Ladder) ContainsBatchIdx(out []bool, keys []uint64, idxs []int32) {
-	l.ContainsBatchIdxWalk(out, keys, idxs)
-}
-
-// ContainsBatchIdxWalk is ContainsBatchIdx reporting the walk depth,
-// under the QueryBatchIdxWalk contract.
-func (l *Ladder) ContainsBatchIdxWalk(out []bool, keys []uint64, idxs []int32) int {
-	lv := l.levels()
-	last := len(lv) - 1
-	lv[last].ContainsBatchIdx(out, keys, idxs)
-	if last == 0 {
-		return 1
-	}
-	walked := 1
-	lb := ladderPool.Get().(*ladderBatch)
-	pend := pendingFalse(lb.pend[:0], out, len(keys), idxs)
-	for li := last - 1; li >= 0 && len(pend) > 0; li-- {
-		lv[li].ContainsBatchIdx(out, keys, pend)
 		walked++
 		if li > 0 {
 			pend = keepFalse(pend, out)
@@ -365,18 +339,14 @@ func (l *Ladder) QueryBatchInto(dst []bool, keys []uint64, pred Predicate) []boo
 		}
 		return out
 	}
-	l.QueryBatchIdx(out, keys, nil, pred)
+	l.QueryBatchIdxWalk(out, keys, nil, pred)
 	return out
 }
 
-// ContainsBatchInto is the batched QueryKey across levels.
+// ContainsBatchInto is the batched QueryKey across levels: the empty
+// predicate through QueryBatchInto (see QueryBatchIdxWalk).
 func (l *Ladder) ContainsBatchInto(dst []bool, keys []uint64) []bool {
-	out := boolResults(dst, len(keys))
-	if len(keys) == 0 {
-		return out
-	}
-	l.ContainsBatchIdx(out, keys, nil)
-	return out
+	return l.QueryBatchInto(dst, keys, nil)
 }
 
 // Aggregate accessors.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"ccf/internal/fault"
 	"ccf/internal/obs"
 	"ccf/internal/store"
+	"ccf/internal/wire"
 )
 
 // TestLimiterQueueAndShed drives the limiter through its three
@@ -70,7 +72,7 @@ func TestWrapShedsWithRetryAfter(t *testing.T) {
 	sm := newServerMetrics(nil)
 	lim := newLimiter(AdmissionOptions{MaxInflight: 1, MaxQueue: 0})
 	block, entered := make(chan struct{}), make(chan struct{})
-	h := sm.wrap("test", nil, 0, nil, lim, 0, func(w http.ResponseWriter, r *http.Request) {
+	h := sm.wrap("test", nil, 0, nil, nil, lim, 0, func(w http.ResponseWriter, r *http.Request) {
 		close(entered)
 		<-block
 	})
@@ -101,11 +103,74 @@ func TestWrapShedsWithRetryAfter(t *testing.T) {
 	wg.Wait()
 }
 
+// bothDoors serves s over HTTP and over raw TCP, returning the HTTP test
+// server and the wire listener's address.
+func bothDoors(t *testing.T, s *Server) (*httptest.Server, string) {
+	t.Helper()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return ts, startWireServer(t, s)
+}
+
+// tcpRoundTrip sends one frame over a fresh raw-TCP connection and
+// returns the response frame.
+func tcpRoundTrip(t *testing.T, addr string, frame []byte) (wire.Op, []byte) {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatalf("write frame: %v", err)
+	}
+	var buf wire.Buffer
+	op, payload, err := wire.ReadFrame(conn, &buf, 0)
+	if err != nil {
+		t.Fatalf("read response frame: %v", err)
+	}
+	return op, append([]byte(nil), payload...)
+}
+
+// assertBinaryRefused is the codec-parity check of the request core's
+// typed failure: frame, sent as binary over HTTP to path and over raw
+// TCP to addr, must be refused on both with HTTP status code and error
+// kind — the status the JSON codec answers — and the HTTP leg must carry
+// Retry-After exactly when retryAfter says the JSON answer does.
+func assertBinaryRefused(t *testing.T, ts *httptest.Server, path, addr string, frame []byte,
+	code int, kind wire.ErrKind, retryAfter bool) {
+	t.Helper()
+	check := func(leg string, op wire.Op, payload []byte) {
+		t.Helper()
+		if op != wire.OpError {
+			t.Fatalf("%s: response op %v, want an error frame", leg, op)
+		}
+		re, err := wire.DecodeError(payload)
+		if err != nil || re.Code != code || re.Kind != kind {
+			t.Fatalf("%s: error frame %+v (%v), want %d %s", leg, re, err, code, kind)
+		}
+	}
+	resp := postFrame(t, ts, path, frame)
+	if resp.StatusCode != code {
+		t.Fatalf("binary/http %s: status %d, want %d", path, resp.StatusCode, code)
+	}
+	if got := resp.Header.Get("Retry-After") != ""; got != retryAfter {
+		t.Fatalf("binary/http %s: Retry-After present = %v, want %v", path, got, retryAfter)
+	}
+	op, payload := readFrame(t, resp)
+	check("binary/http "+path, op, payload)
+	op, payload = tcpRoundTrip(t, addr, frame)
+	check("binary/tcp", op, payload)
+}
+
 // TestRateLimitedInsert429 creates a filter with a token-bucket rate
 // limit via PUT and verifies the over-budget batch answers 429 with a
-// Retry-After hint while the in-budget one landed.
+// Retry-After hint while the in-budget one landed — as JSON, as binary
+// over HTTP, and as binary over raw TCP.
 func TestRateLimitedInsert429(t *testing.T) {
-	_, _, ts := metricsServer(t)
+	_, _, s := metricsStack(t)
+	ts, addr := bothDoors(t, s)
 	doJSON(t, ts, http.MethodPut, "/filters/limited", CreateRequest{
 		Shards: 1, Capacity: 1 << 12, NumAttrs: 1, Seed: 1,
 		RateLimit: &RateLimitPolicy{RPS: 1, Burst: 4},
@@ -146,6 +211,15 @@ func TestRateLimitedInsert429(t *testing.T) {
 		t.Fatalf("over-budget query status = %d, want 429", resp2.StatusCode)
 	}
 
+	// Binary requests spend from the same bucket and map the refusal to
+	// the same status, typed rate_limited.
+	assertBinaryRefused(t, ts, "/filters/limited/insert", addr,
+		wire.AppendInsert(nil, "limited", []uint64{5, 6, 7}, []uint64{0, 0, 0}, 1),
+		http.StatusTooManyRequests, wire.KindRateLimited, true)
+	assertBinaryRefused(t, ts, "/filters/limited/query", addr,
+		wire.AppendQuery(nil, "limited", nil, []uint64{1, 2, 3}, false),
+		http.StatusTooManyRequests, wire.KindRateLimited, true)
+
 	// /stats reports the policy.
 	var stats StatsResponse
 	doJSON(t, ts, http.MethodGet, "/stats", nil, &stats)
@@ -157,13 +231,13 @@ func TestRateLimitedInsert429(t *testing.T) {
 
 // TestRequestDeadline504 serves with a deadline that has effectively
 // already expired and verifies both batch endpoints turn it into 504 at
-// their cancellation checkpoints.
+// their cancellation checkpoints, in both codecs and over both
+// transports.
 func TestRequestDeadline504(t *testing.T) {
 	reg, _ := testRegistry(t)
-	ts := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{
+	ts, addr := bothDoors(t, NewServer(reg, HandlerOptions{
 		Admission: AdmissionOptions{RequestTimeout: time.Nanosecond},
 	}))
-	t.Cleanup(ts.Close)
 
 	for _, tc := range []struct{ path, body string }{
 		{"/filters/movies/insert", `{"keys":[1],"attrs":[[0,0]]}`},
@@ -179,13 +253,20 @@ func TestRequestDeadline504(t *testing.T) {
 			t.Fatalf("%s under 1ns deadline: status %d, want 504", tc.path, resp.StatusCode)
 		}
 	}
+	assertBinaryRefused(t, ts, "/filters/movies/insert", addr,
+		wire.AppendInsert(nil, "movies", []uint64{1}, []uint64{0, 0}, 2),
+		http.StatusGatewayTimeout, wire.KindDeadline, false)
+	assertBinaryRefused(t, ts, "/filters/movies/query", addr,
+		wire.AppendQuery(nil, "movies", nil, []uint64{1, 2, 3}, false),
+		http.StatusGatewayTimeout, wire.KindDeadline, false)
 }
 
 // TestDegradedFilterHTTP is the serving-layer half of degraded mode: an
 // injected fsync failure flips the filter to read-only, writes answer
-// 503 + Retry-After while queries keep answering 200, /readyz lists the
-// filter (name + reason) and stays ready, and the degraded gauge is
-// scraped as 1.
+// 503 + Retry-After (typed degraded on the binary codec, over HTTP and
+// raw TCP) while queries keep answering 200, /readyz lists the filter
+// (name + reason) and stays ready, and the degraded gauge is scraped as
+// 1.
 func TestDegradedFilterHTTP(t *testing.T) {
 	sched, err := fault.Parse("fsync:4-:enospc")
 	if err != nil {
@@ -207,8 +288,7 @@ func TestDegradedFilterHTTP(t *testing.T) {
 	reg := NewRegistry(4)
 	reg.AttachObs(om)
 	reg.AttachStore(st)
-	ts := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{Metrics: om}))
-	t.Cleanup(ts.Close)
+	ts, addr := bothDoors(t, NewServer(reg, HandlerOptions{Metrics: om}))
 
 	doJSON(t, ts, http.MethodPut, "/filters/f", CreateRequest{
 		Shards: 1, Capacity: 1 << 12, NumAttrs: 1, Seed: 1,
@@ -231,6 +311,9 @@ func TestDegradedFilterHTTP(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("degraded 503 missing Retry-After")
 	}
+	assertBinaryRefused(t, ts, "/filters/f/insert", addr,
+		wire.AppendInsert(nil, "f", []uint64{3}, []uint64{0}, 1),
+		http.StatusServiceUnavailable, wire.KindDegraded, true)
 
 	// Reads keep serving.
 	var q QueryResponse

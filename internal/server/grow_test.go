@@ -217,7 +217,7 @@ func TestPolicyFoldTrigger(t *testing.T) {
 	const batch = 256
 	for lo := 0; lo < len(keys); lo += batch {
 		end := min(lo+batch, len(keys))
-		errs, err := e.InsertBatchInto(nil, keys[lo:end], attrs[lo:end])
+		errs, err := e.InsertBatch(nil, keys[lo:end], attrs[lo:end], nil)
 		if err != nil {
 			t.Fatalf("insert: %v", err)
 		}
@@ -241,7 +241,7 @@ func TestPolicyFoldTrigger(t *testing.T) {
 	if fst.Rows != 4*n {
 		t.Fatalf("rows %d, want %d", fst.Rows, 4*n)
 	}
-	out := e.Filter().QueryKeyBatchInto(nil, keys)
+	out := e.Filter().QueryBatchInto(nil, keys, nil)
 	for i := range out {
 		if !out[i] {
 			t.Fatalf("false negative for key %d after policy fold", keys[i])

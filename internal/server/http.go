@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"ccf/internal/core"
@@ -38,8 +37,10 @@ type HandlerOptions struct {
 	// SlowQuery is the latency at or above which a request is logged at
 	// Warn and counted in ccfd_http_slow_requests_total. 0 disables.
 	SlowQuery time.Duration
-	// Health, when set, backs GET /readyz: 503 until SetReady. Nil makes
-	// /readyz always ready (no recovery phase to wait out).
+	// Health, when set, backs GET /readyz: 503 until SetReady. Until then
+	// every instrumented route and every raw-TCP frame answers 503
+	// not_ready with Retry-After, so no write is acked before the store is
+	// attached. Nil means always ready (no recovery phase to wait out).
 	Health *Health
 	// Tracer, when set, gives every request a trace context (honoring an
 	// incoming W3C traceparent header and emitting one on the response),
@@ -52,19 +53,6 @@ type HandlerOptions struct {
 	// admission control off.
 	Admission AdmissionOptions
 }
-
-// Result-buffer pools: the query and insert handlers run once per request
-// on the hottest server path, so they probe through the shard layer's
-// *Into entry points with recycled slices instead of re-slicing per
-// request. Buffers are returned to the pool after the response is encoded;
-// outliers above maxPooledResults are dropped so one huge batch cannot pin
-// multi-MB buffers for the steady state of small requests.
-const maxPooledResults = 64 << 10
-
-var (
-	boolBufPool = sync.Pool{New: func() any { return new([]bool) }}
-	errBufPool  = sync.Pool{New: func() any { return new([]error) }}
-)
 
 // CreateRequest is the body of PUT /filters/{name}. AutoGrow, when
 // present, enables elastic capacity for the filter (zero-valued fields
@@ -216,11 +204,10 @@ func NewHandlerOpts(reg *Registry, opts HandlerOptions) http.Handler {
 func (s *Server) buildMux() http.Handler {
 	reg, opts := s.reg, s.opts
 	maxBody, sm, lim := s.maxBody, s.sm, s.lim
-	deadlines := s.deadlines
 	mux := http.NewServeMux()
 	handle := func(pattern, endpoint string, fn http.HandlerFunc) {
 		mux.HandleFunc(pattern, sm.wrap(endpoint, opts.Logger, opts.SlowQuery, opts.Tracer,
-			lim, opts.Admission.RequestTimeout, fn))
+			opts.Health, lim, opts.Admission.RequestTimeout, fn))
 	}
 	handle("PUT /filters/{name}", "create", func(w http.ResponseWriter, r *http.Request) {
 		var req CreateRequest
@@ -255,7 +242,7 @@ func (s *Server) buildMux() http.Handler {
 	handle("DELETE /filters/{name}", "delete", func(w http.ResponseWriter, r *http.Request) {
 		ok, err := reg.Delete(r.PathValue("name"))
 		if !ok {
-			httpError(w, http.StatusNotFound, errors.New("server: no such filter"))
+			writeFailure(w, r, errNoSuchFilter)
 			return
 		}
 		if err != nil {
@@ -265,13 +252,17 @@ func (s *Server) buildMux() http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 
+	// The insert and query handlers are the JSON codec shell over the
+	// request core (request.go): decode, call the core, encode. Results
+	// and row errors live in a pooled request scratch, returned after the
+	// response is encoded.
 	handle("POST /filters/{name}/insert", "insert", func(w http.ResponseWriter, r *http.Request) {
 		if isWire(r) {
 			s.wireHTTP(w, r, wire.OpInsert)
 			return
 		}
 		tr := reqTrace(w)
-		e, ok := lookup(w, r, reg)
+		e, ok := s.lookup(w, r)
 		if !ok {
 			return
 		}
@@ -282,63 +273,23 @@ func (s *Server) buildMux() http.Handler {
 		if !ok {
 			return
 		}
-		if len(req.Keys) != len(req.Attrs) {
-			httpError(w, http.StatusBadRequest, shard.ErrBatchShape)
+		sc := getScratch()
+		defer putScratch(sc)
+		statuses, accepted, f := s.insert(s.reqCtx(r), e, req.Keys, req.Attrs, sc, tr)
+		if f.failed() {
+			writeFailure(w, r, f)
 			return
 		}
-		if ok, wait := e.admitUnits(len(req.Keys)); !ok {
-			sm.rateLimited.Inc()
-			w.Header().Set("Retry-After", retryAfterSecs(wait))
-			httpError(w, http.StatusTooManyRequests, errRateLimited)
-			return
-		}
-		// Deadline checkpoint before the WAL append: once a record is in
-		// the log the batch runs to completion (aborting between append
-		// and apply would desynchronize log and memory), so expired
-		// requests are turned away here.
-		if deadlines {
-			if err := r.Context().Err(); err != nil {
-				sm.deadline.Inc()
-				httpError(w, http.StatusGatewayTimeout, err)
-				return
-			}
-		}
-		sm.insertRows.Observe(int64(len(req.Keys)))
-		bufp := errBufPool.Get().(*[]error)
-		errs, storeErr := e.InsertBatchTraced(*bufp, req.Keys, req.Attrs, tr)
-		if storeErr != nil {
-			// WAL append or fsync failed: rows may not survive a crash, so
-			// the batch must not be acked.
-			if errs == nil {
-				errBufPool.Put(bufp)
-			} else if cap(errs) <= maxPooledResults {
-				*bufp = errs[:0]
-				errBufPool.Put(bufp)
-			}
-			httpError(w, storeErrorCode(w, sm, storeErr), storeErr)
-			return
-		}
-		resp := InsertResponse{Accepted: len(req.Keys)}
-		for i, err := range errs {
-			if err != nil {
-				if resp.Errors == nil {
-					resp.Errors = make(map[int]string)
-					resp.Statuses = make([]string, len(errs))
-					for j := range resp.Statuses {
-						resp.Statuses[j] = shard.RowInserted.String()
-					}
+		resp := InsertResponse{Accepted: accepted}
+		if statuses != nil {
+			resp.Statuses = make([]string, len(statuses))
+			resp.Errors = make(map[int]string)
+			for i, st := range statuses {
+				resp.Statuses[i] = shard.RowStatus(st).String()
+				if shard.RowStatus(st) != shard.RowInserted {
+					resp.Errors[i] = sc.errs[i].Error()
 				}
-				resp.Errors[i] = err.Error()
-				st := shard.StatusOf(err)
-				resp.Statuses[i] = st.String()
-				sm.rowStatus[st].Inc()
-				resp.Accepted--
 			}
-		}
-		sm.rowStatus[shard.RowInserted].Add(uint64(resp.Accepted))
-		if cap(errs) <= maxPooledResults {
-			*bufp = errs[:0]
-			errBufPool.Put(bufp)
 		}
 		esp := tr.Start(trace.PhaseEncode)
 		writeJSON(w, resp)
@@ -351,7 +302,7 @@ func (s *Server) buildMux() http.Handler {
 			return
 		}
 		tr := reqTrace(w)
-		e, ok := lookup(w, r, reg)
+		e, ok := s.lookup(w, r)
 		if !ok {
 			return
 		}
@@ -362,55 +313,16 @@ func (s *Server) buildMux() http.Handler {
 		if !ok {
 			return
 		}
-		pred := toPredicate(req.Predicate)
-		if err := pred.Validate(e.Filter().Params().NumAttrs); err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		sc := getScratch()
+		defer putScratch(sc)
+		results, hit, f := s.query(s.reqCtx(r), e, req.Keys, toPredicate(req.Predicate), req.ViaView, sc, tr)
+		if f.failed() {
+			writeFailure(w, r, f)
 			return
 		}
-		if ok, wait := e.admitUnits(len(req.Keys)); !ok {
-			sm.rateLimited.Inc()
-			w.Header().Set("Retry-After", retryAfterSecs(wait))
-			httpError(w, http.StatusTooManyRequests, errRateLimited)
-			return
-		}
-		// qctx threads the request deadline into the shard layer's
-		// cancellation checkpoints; nil (no -request-timeout) keeps the
-		// probe path on its allocation-free fast path.
-		var qctx context.Context
-		if deadlines {
-			qctx = r.Context()
-		}
-		sm.queryKeys.Observe(int64(len(req.Keys)))
-		bufp := boolBufPool.Get().(*[]bool)
-		var resp QueryResponse
+		resp := QueryResponse{Results: results}
 		if req.ViaView {
-			view, hit, err := e.PredicateView(pred)
-			if err != nil {
-				boolBufPool.Put(bufp)
-				httpError(w, http.StatusBadRequest, err)
-				return
-			}
-			if hit {
-				sm.viewHits.Inc()
-			} else {
-				sm.viewMisses.Inc()
-			}
-			vsp := tr.Start(trace.PhaseViewProbe)
-			resp.Results = view.ContainsBatchInto(*bufp, req.Keys)
-			vsp.Attr(trace.AttrKeys, int64(len(req.Keys))).End()
 			resp.ViewCacheHit = &hit
-		} else {
-			results, err := e.Filter().QueryBatchDeadlineInto(qctx, *bufp, req.Keys, pred, tr)
-			if err != nil {
-				sm.deadline.Inc()
-				if cap(results) <= maxPooledResults {
-					*bufp = results[:0]
-					boolBufPool.Put(bufp)
-				}
-				httpError(w, http.StatusGatewayTimeout, err)
-				return
-			}
-			resp.Results = results
 		}
 		if resp.Results == nil {
 			resp.Results = []bool{}
@@ -418,14 +330,10 @@ func (s *Server) buildMux() http.Handler {
 		esp := tr.Start(trace.PhaseEncode)
 		writeJSON(w, resp)
 		esp.End()
-		if cap(resp.Results) <= maxPooledResults {
-			*bufp = resp.Results[:0]
-			boolBufPool.Put(bufp)
-		}
 	})
 
 	handle("GET /filters/{name}/stats", "filter_stats", func(w http.ResponseWriter, r *http.Request) {
-		e, ok := lookup(w, r, reg)
+		e, ok := s.lookup(w, r)
 		if !ok {
 			return
 		}
@@ -436,7 +344,7 @@ func (s *Server) buildMux() http.Handler {
 	})
 
 	handle("GET /filters/{name}/snapshot", "snapshot", func(w http.ResponseWriter, r *http.Request) {
-		e, ok := lookup(w, r, reg)
+		e, ok := s.lookup(w, r)
 		if !ok {
 			return
 		}
@@ -514,12 +422,24 @@ func (s *Server) buildMux() http.Handler {
 	return mux
 }
 
-func lookup(w http.ResponseWriter, r *http.Request, reg *Registry) (*Entry, bool) {
-	e, ok := reg.Get(r.PathValue("name"))
+// lookup resolves the URL-bound filter, answering the shared not-found
+// failure when it is missing.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*Entry, bool) {
+	e, ok := s.reg.Get(r.PathValue("name"))
 	if !ok {
-		httpError(w, http.StatusNotFound, errors.New("server: no such filter"))
+		writeFailure(w, r, errNoSuchFilter)
 	}
 	return e, ok
+}
+
+// reqCtx threads the request deadline into the request core; nil (no
+// -request-timeout) keeps the probe path on its allocation-free fast
+// path.
+func (s *Server) reqCtx(r *http.Request) context.Context {
+	if s.deadlines {
+		return r.Context()
+	}
+	return nil
 }
 
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any, maxBody int64) bool {
@@ -541,27 +461,6 @@ func bodyErrorCode(err error) int {
 	return http.StatusBadRequest
 }
 
-// errRateLimited is the 429 body for per-filter token-bucket
-// rejections.
-var errRateLimited = errors.New("server: filter rate limit exceeded")
-
-// storeErrorCode maps a storage-layer batch failure to a status and
-// sets the matching response headers: a degraded (read-only) filter is
-// a retryable 503, an expired request deadline is 504, anything else
-// is a plain 500.
-func storeErrorCode(w http.ResponseWriter, sm *serverMetrics, err error) int {
-	switch {
-	case errors.Is(err, store.ErrDegraded):
-		w.Header().Set("Retry-After", "1")
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		sm.deadline.Inc()
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
 // registryErrorCode maps a registry failure to a status: 500 for
 // durability-layer failures, 400 for bad input.
 func registryErrorCode(err error) int {
@@ -581,4 +480,21 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+}
+
+// writeFailure renders a request-core failure in r's codec: a binary
+// OpError frame when the request negotiated the wire protocol, the JSON
+// error body otherwise, with the failure's Retry-After hint as a header
+// either way.
+func writeFailure(w http.ResponseWriter, r *http.Request, f failure) {
+	if f.retryAfter != "" {
+		w.Header().Set("Retry-After", f.retryAfter)
+	}
+	if isWire(r) {
+		w.Header().Set("Content-Type", wire.ContentType)
+		w.WriteHeader(f.code)
+		w.Write(f.appendFrame(nil))
+		return
+	}
+	httpError(w, f.code, errors.New(f.msg))
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -34,6 +35,10 @@ func (h *Health) SetReady(unrecoverable int) {
 func (h *Health) Ready() (bool, int) {
 	return h.ready.Load(), int(h.unrecoverable.Load())
 }
+
+// serving reports whether filter traffic may be served: once SetReady
+// ran, and always for a nil Health.
+func (h *Health) serving() bool { return h == nil || h.ready.Load() }
 
 // serverMetrics holds the HTTP layer's instrumentation handles, all
 // preallocated at handler construction: per-endpoint request counters by
@@ -158,15 +163,17 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // — per request the cost is a status recorder, one histogram Observe
 // and one counter Inc, plus a pooled trace context when tracing is on.
 //
-// With admission control on (lim non-nil), the handler body runs only
-// after a limiter slot is acquired; requests shed at the limiter answer
-// 503 + Retry-After without touching the handler, and the queue wait is
-// its own trace phase. With a request timeout, the body runs under a
-// context deadline the handlers check at their cancellation
-// checkpoints. Shed and timed-out requests still flow through the
+// Until health is ready, requests answer 503 not_ready + Retry-After in
+// their own codec without touching the limiter or the handler. With
+// admission control on (lim non-nil), the handler body runs only after a
+// limiter slot is acquired; requests shed at the limiter answer 503 +
+// Retry-After without touching the handler, and the queue wait is its
+// own trace phase. With a request timeout, the body runs under a context
+// deadline the handlers check at their cancellation checkpoints.
+// Refused, shed and timed-out requests still flow through the
 // status-class counters and latency histogram like any other outcome.
 func (m *serverMetrics) wrap(endpoint string, logger *slog.Logger, slowQuery time.Duration,
-	tracer *trace.Tracer, lim *limiter, reqTimeout time.Duration, fn http.HandlerFunc) http.HandlerFunc {
+	tracer *trace.Tracer, health *Health, lim *limiter, reqTimeout time.Duration, fn http.HandlerFunc) http.HandlerFunc {
 	lbl := obs.Label{Key: "endpoint", Value: endpoint}
 	latency := m.reg.Histogram("ccfd_http_request_seconds",
 		"Request latency by endpoint.", 1e-9, obs.ExpBounds(50_000, 4, 11), lbl)
@@ -197,7 +204,9 @@ func (m *serverMetrics) wrap(endpoint string, logger *slog.Logger, slowQuery tim
 			defer cancel()
 			r = r.WithContext(ctx)
 		}
-		if lim == nil {
+		if !health.serving() {
+			writeFailure(sw, r, errNotReady)
+		} else if lim == nil {
 			fn(sw, r)
 		} else {
 			qsp := tr.Start(trace.PhaseQueue)
@@ -297,7 +306,7 @@ func registerFilterMetrics(reg *obs.Registry, name string, sf *shard.ShardedFilt
 					return st.ShardLoads[i]
 				}
 				return 0
-			}, lbl, obs.Label{Key: "shard", Value: itoa(i)})
+			}, lbl, obs.Label{Key: "shard", Value: strconv.Itoa(i)})
 	}
 }
 
@@ -341,20 +350,4 @@ func registerStoreMetrics(reg *obs.Registry, st *store.Store) {
 	recovery("replay_errors", "Rows whose replay errored at boot.", float64(rs.ReplayErrors))
 	recovery("unrecoverable_filters", "Filter directories skipped as unrecoverable at boot.", float64(rs.Unrecoverable))
 	recovery("seconds", "Boot recovery duration.", rs.Duration.Seconds())
-}
-
-// itoa is strconv.Itoa for the small shard indexes used in labels,
-// avoiding the import for one call site.
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [20]byte
-	p := len(b)
-	for i > 0 {
-		p--
-		b[p] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[p:])
 }

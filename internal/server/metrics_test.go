@@ -14,12 +14,23 @@ import (
 	"ccf/internal/obs"
 	"ccf/internal/shard"
 	"ccf/internal/store"
+	"ccf/internal/wire"
 )
 
 // metricsServer assembles a fully instrumented durable stack: obs
 // registry, server registry with a store attached, and an httptest
 // server with /metrics and /readyz wired.
 func metricsServer(t *testing.T) (*obs.Registry, *Registry, *httptest.Server) {
+	t.Helper()
+	om, reg, s := metricsStack(t)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return om, reg, ts
+}
+
+// metricsStack is metricsServer's stack before any transport is
+// attached, for tests that serve it over both HTTP and raw TCP.
+func metricsStack(t *testing.T) (*obs.Registry, *Registry, *Server) {
 	t.Helper()
 	om := obs.NewRegistry()
 	st, err := store.Open(store.Options{Dir: t.TempDir(), Fsync: store.FsyncNever})
@@ -32,12 +43,10 @@ func metricsServer(t *testing.T) (*obs.Registry, *Registry, *httptest.Server) {
 	reg.AttachStore(st)
 	health := &Health{}
 	health.SetReady(st.RecoveryStats().Unrecoverable)
-	ts := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{
+	return om, reg, NewServer(reg, HandlerOptions{
 		Metrics: om,
 		Health:  health,
-	}))
-	t.Cleanup(ts.Close)
-	return om, reg, ts
+	})
 }
 
 func scrape(t *testing.T, ts *httptest.Server) string {
@@ -160,12 +169,14 @@ func TestDeleteUnregistersFilterSeries(t *testing.T) {
 }
 
 // TestReadyz covers the readiness split: 503 before recovery completes,
-// 200 after, with the unrecoverable count surfaced either way.
+// 200 after, with the unrecoverable count surfaced either way — and the
+// gate it drives: until ready, filter routes answer 503 not_ready with
+// Retry-After in every codec and transport, so no write is acked before
+// the store is attached.
 func TestReadyz(t *testing.T) {
 	reg := NewRegistry(4)
 	health := &Health{}
-	ts := httptest.NewServer(NewHandlerOpts(reg, HandlerOptions{Health: health}))
-	defer ts.Close()
+	ts, addr := bothDoors(t, NewServer(reg, HandlerOptions{Health: health}))
 
 	resp, err := ts.Client().Get(ts.URL + "/readyz")
 	if err != nil {
@@ -180,6 +191,32 @@ func TestReadyz(t *testing.T) {
 		t.Errorf("pre-recovery body = %s", body)
 	}
 
+	// Not ready: a PUT, a JSON query and /stats are refused before their
+	// handlers run, and binary frames get a typed not_ready error over
+	// HTTP and raw TCP alike.
+	create := CreateRequest{Shards: 1, Capacity: 1 << 10, NumAttrs: 1, Seed: 1}
+	for _, req := range []struct {
+		method, path string
+		body         any
+	}{
+		{http.MethodPut, "/filters/m", create},
+		{http.MethodPost, "/filters/m/query", QueryRequest{Keys: []uint64{1}}},
+		{http.MethodGet, "/stats", nil},
+	} {
+		resp := rawJSON(t, ts, req.method, req.path, req.body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+			t.Fatalf("pre-recovery %s %s = %d (Retry-After %q), want 503 with Retry-After 1",
+				req.method, req.path, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+	qframe := wire.AppendQuery(nil, "m", nil, []uint64{1}, false)
+	assertBinaryRefused(t, ts, "/filters/m/query", addr, qframe,
+		http.StatusServiceUnavailable, wire.KindNotReady, true)
+	if _, ok := reg.Get("m"); ok {
+		t.Fatal("a PUT was applied before the server was ready")
+	}
+
 	health.SetReady(2)
 	resp, err = ts.Client().Get(ts.URL + "/readyz")
 	if err != nil {
@@ -192,6 +229,14 @@ func TestReadyz(t *testing.T) {
 	}
 	if !strings.Contains(string(body), `"unrecoverable_filters":2`) {
 		t.Errorf("post-recovery body = %s", body)
+	}
+
+	// Ready: the same PUT and TCP query frame now serve.
+	doJSON(t, ts, http.MethodPut, "/filters/m", create, nil)
+	op, payload := tcpRoundTrip(t, addr, qframe)
+	if op != wire.OpResult {
+		re, _ := wire.DecodeError(payload)
+		t.Fatalf("post-recovery TCP query answered %v %+v, want a result frame", op, re)
 	}
 
 	// /healthz stays pure liveness: it was 200 all along.

@@ -386,22 +386,17 @@ func (e *Entry) Name() string { return e.name }
 // Filter returns the underlying sharded filter.
 func (e *Entry) Filter() *shard.ShardedFilter { return e.sf }
 
-// InsertBatchInto applies a batched insert, going WAL-first when the
-// entry is durable, then runs the entry's auto-grow policy (proactive
-// level opens, fold scheduling). The per-row slice follows
-// shard.InsertBatchInto — every row is attempted and carries its own
-// status, see shard.StatusOf; the second result is the storage error —
-// when non-nil the batch was not applied or its durability is unknown
-// and the request should fail.
-func (e *Entry) InsertBatchInto(dst []error, keys []uint64, attrs [][]uint64) ([]error, error) {
-	return e.InsertBatchTraced(dst, keys, attrs, nil)
-}
-
-// InsertBatchTraced is InsertBatchInto recording phase spans into tr
-// (WAL append, apply, fsync wait via the store; apply-only on volatile
-// entries) and propagating the trace to policy work it triggers, so a
-// fold or grow correlates back to this request. nil tr traces nothing.
-func (e *Entry) InsertBatchTraced(dst []error, keys []uint64, attrs [][]uint64, tr *trace.Req) ([]error, error) {
+// InsertBatch applies a batched insert, going WAL-first when the entry
+// is durable, then runs the entry's auto-grow policy (proactive level
+// opens, fold scheduling). The per-row slice follows
+// shard.InsertBatchInto, written into dst — every row is attempted and
+// carries its own status, see shard.StatusOf; the second result is the
+// storage error — when non-nil the batch was not applied or its
+// durability is unknown and the request should fail. tr, when non-nil,
+// receives the phase spans (WAL append, apply, fsync wait via the store;
+// apply-only on volatile entries) and is propagated to policy work the
+// batch triggers, so a fold or grow correlates back to this request.
+func (e *Entry) InsertBatch(dst []error, keys []uint64, attrs [][]uint64, tr *trace.Req) ([]error, error) {
 	var errs []error
 	var err error
 	if e.log != nil {

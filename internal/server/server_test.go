@@ -111,7 +111,9 @@ func TestViewCacheEvictsByPredicate(t *testing.T) {
 	}
 }
 
-func doJSON(t *testing.T, ts *httptest.Server, method, path string, body, out any) *http.Response {
+// rawJSON sends body (nil for none) as JSON and returns the response
+// whatever its status; the caller closes the body.
+func rawJSON(t *testing.T, ts *httptest.Server, method, path string, body any) *http.Response {
 	t.Helper()
 	var rd io.Reader
 	if body != nil {
@@ -129,6 +131,14 @@ func doJSON(t *testing.T, ts *httptest.Server, method, path string, body, out an
 	if err != nil {
 		t.Fatalf("%s %s: %v", method, path, err)
 	}
+	return resp
+}
+
+// doJSON is rawJSON failing the test on a 4xx/5xx, decoding the body
+// into out when non-nil.
+func doJSON(t *testing.T, ts *httptest.Server, method, path string, body, out any) *http.Response {
+	t.Helper()
+	resp := rawJSON(t, ts, method, path, body)
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode >= 400 {
@@ -457,7 +467,7 @@ func TestRegistryDurableAcrossReopen(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 	keys := []uint64{11, 22, 33}
-	if _, err := e.InsertBatchInto(nil, keys, [][]uint64{{1, 0}, {2, 1}, {3, 0}}); err != nil {
+	if _, err := e.InsertBatch(nil, keys, [][]uint64{{1, 0}, {2, 1}, {3, 0}}, nil); err != nil {
 		t.Fatalf("durable insert: %v", err)
 	}
 	snap, err := e.Filter().Snapshot()

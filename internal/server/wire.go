@@ -5,74 +5,23 @@ import (
 	"errors"
 	"net/http"
 	"strings"
-	"sync"
 
 	"ccf/internal/core"
 	"ccf/internal/obs/trace"
-	"ccf/internal/shard"
-	"ccf/internal/store"
 	"ccf/internal/wire"
 )
 
-// wireHandler executes decoded wire-protocol frames against the
-// registry. It is the protocol-independent core shared by the
-// content-negotiated HTTP path and the raw-TCP listener: both decode a
-// frame into the same pooled scratch, run the same admission / deadline
-// / rate-limit checks as the JSON handlers, probe through the same
-// *Into entry points, and encode the response frame into the same
-// reused output buffer — so the wire paths inherit every behavior the
-// JSON path has, minus the JSON.
-type wireHandler struct {
-	reg *Registry
-	sm  *serverMetrics
-}
+// This file is the binary codec shell over the request core (request.go),
+// run by both the content-negotiated HTTP path and the raw-TCP listener.
 
-// wireScratch carries every buffer one wire request needs. Pooled (HTTP
-// path) or per-connection (TCP path), it makes the steady-state
-// decode→probe→encode round trip allocation-free: the frame lands in
-// the 8-aligned buf so keys alias it, results/errs/rows are recycled
-// slices fed to the shard layer's *Into entry points, and the response
-// frame is appended into out.
-type wireScratch struct {
-	buf      wire.Buffer
-	sc       wire.Scratch
-	out      []byte
-	results  []bool
-	errs     []error
-	rows     [][]uint64
-	pred     core.Predicate
-	statuses []byte
-}
-
-// maxPooledWireBytes drops outlier scratches from the pool, same policy
-// as maxPooledResults for the JSON buffers.
-const maxPooledWireBytes = 1 << 20
-
-var wireScratchPool = sync.Pool{New: func() any { return new(wireScratch) }}
-
-func putWireScratch(ws *wireScratch) {
-	if cap(ws.results) > maxPooledResults || cap(ws.errs) > maxPooledResults ||
-		cap(ws.out) > maxPooledWireBytes {
-		return
-	}
-	wireScratchPool.Put(ws)
-}
-
-// fail appends an OpError response frame and returns its HTTP-
-// equivalent status code.
-func (ws *wireScratch) fail(code int, kind wire.ErrKind, msg string) int {
-	ws.out = wire.AppendError(ws.out, code, kind, msg)
-	return code
-}
-
-// wireReadError maps a frame read/parse failure to the status and error
-// kind of the OpError response: 413 for the size cap (mirroring the
-// JSON path's MaxBytesError behavior), 400 for everything else.
-func wireReadError(err error) (int, wire.ErrKind) {
+// badFrame maps bytes that do not read or parse as a request frame: 413
+// for the size cap (mirroring the JSON path's MaxBytesError behavior),
+// 400 bad_frame for everything else.
+func badFrame(err error) failure {
 	if errors.Is(err, wire.ErrTooLarge) {
-		return http.StatusRequestEntityTooLarge, wire.KindTooLarge
+		return failure{code: http.StatusRequestEntityTooLarge, kind: wire.KindTooLarge, msg: err.Error()}
 	}
-	return http.StatusBadRequest, wire.KindBadFrame
+	return failure{code: http.StatusBadRequest, kind: wire.KindBadFrame, msg: err.Error()}
 }
 
 // isWire reports whether an HTTP request negotiated the binary
@@ -82,210 +31,127 @@ func isWire(r *http.Request) bool {
 	return ct == wire.ContentType || strings.HasPrefix(ct, wire.ContentType+";")
 }
 
-// process executes one request frame, appending exactly one response
-// frame to ws.out, and returns the HTTP-equivalent status code (the
-// negotiated-HTTP path answers with it; the TCP path feeds it to the
-// status-class counters). urlName, when non-empty, is the filter name
-// bound by the HTTP route: the frame's name must be empty or equal.
-// want, when nonzero, restricts which request opcode this endpoint
-// accepts. ctx carries the request deadline; nil keeps the probe path
-// on its context-free fast path.
-func (h *wireHandler) process(ctx context.Context, op wire.Op, payload []byte,
-	ws *wireScratch, tr *trace.Req, urlName string, want wire.Op) int {
+// process executes one request frame. On success the response frame is
+// appended to sc.out; a refusal comes back as the typed failure for the
+// transport to render. urlName, when non-empty, is the filter name bound
+// by the HTTP route: the frame's name must be empty or equal. want, when
+// nonzero, restricts which request opcode this endpoint accepts. ctx
+// carries the request deadline; nil keeps the probe path on its
+// context-free fast path.
+func (s *Server) process(ctx context.Context, op wire.Op, payload []byte,
+	sc *reqScratch, tr *trace.Req, urlName string, want wire.Op) failure {
 	if want != 0 && op != want {
-		return ws.fail(http.StatusBadRequest, wire.KindUnsupported,
-			"opcode "+op.String()+" not valid on this endpoint")
+		return failure{code: http.StatusBadRequest, kind: wire.KindUnsupported,
+			msg: "opcode " + op.String() + " not valid on this endpoint"}
 	}
 	switch op {
 	case wire.OpQuery:
-		return h.query(ctx, payload, ws, tr, urlName)
+		return s.queryFrame(ctx, payload, sc, tr, urlName)
 	case wire.OpInsert:
-		return h.insert(ctx, payload, ws, tr, urlName)
+		return s.insertFrame(ctx, payload, sc, tr, urlName)
 	default:
-		return ws.fail(http.StatusBadRequest, wire.KindUnsupported,
-			"opcode "+op.String()+" is not a request")
+		return failure{code: http.StatusBadRequest, kind: wire.KindUnsupported,
+			msg: "opcode " + op.String() + " is not a request"}
 	}
 }
 
 // lookupFrame resolves the entry for a frame: the frame's own name, or
 // the URL-bound name when the frame leaves it empty. The []byte map
 // lookup compiles without a string allocation.
-func (h *wireHandler) lookupFrame(ws *wireScratch, urlName string, name []byte) (*Entry, int) {
-	if len(name) == 0 {
-		if urlName == "" {
-			return nil, ws.fail(http.StatusBadRequest, wire.KindBadRequest,
-				"frame names no filter")
-		}
-		e, ok := h.reg.Get(urlName)
-		if !ok {
-			return nil, ws.fail(http.StatusNotFound, wire.KindNotFound, "no such filter")
-		}
-		return e, 0
+func (s *Server) lookupFrame(urlName string, name []byte) (*Entry, failure) {
+	var e *Entry
+	var ok bool
+	switch {
+	case len(name) == 0 && urlName == "":
+		return nil, failure{code: http.StatusBadRequest, kind: wire.KindBadRequest,
+			msg: "frame names no filter"}
+	case len(name) == 0:
+		e, ok = s.reg.Get(urlName)
+	case urlName != "" && urlName != string(name):
+		return nil, failure{code: http.StatusBadRequest, kind: wire.KindBadRequest,
+			msg: "frame filter name does not match the request URL"}
+	default:
+		e, ok = s.reg.lookupBytes(name)
 	}
-	if urlName != "" && urlName != string(name) {
-		return nil, ws.fail(http.StatusBadRequest, wire.KindBadRequest,
-			"frame filter name does not match the request URL")
-	}
-	e, ok := h.reg.lookupBytes(name)
 	if !ok {
-		return nil, ws.fail(http.StatusNotFound, wire.KindNotFound, "no such filter")
+		return nil, errNoSuchFilter
 	}
-	return e, 0
+	return e, failure{}
 }
 
-func (h *wireHandler) query(ctx context.Context, payload []byte, ws *wireScratch,
-	tr *trace.Req, urlName string) int {
+// framePred converts a decoded frame predicate into sc's recycled
+// core.Predicate. Via-view requests get an owned copy instead: the view
+// cache canonicalizes and may outlive this request, so it must not see
+// values aliasing frame scratch.
+func (sc *reqScratch) framePred(conds []wire.Cond, owned bool) core.Predicate {
+	if len(conds) == 0 {
+		return nil
+	}
+	if owned {
+		pred := make(core.Predicate, len(conds))
+		for i, c := range conds {
+			pred[i] = core.Cond{Attr: c.Attr, Values: append([]uint64(nil), c.Values...)}
+		}
+		return pred
+	}
+	sc.pred = sc.pred[:0]
+	for _, c := range conds {
+		sc.pred = append(sc.pred, core.Cond{Attr: c.Attr, Values: c.Values})
+	}
+	return sc.pred
+}
+
+func (s *Server) queryFrame(ctx context.Context, payload []byte, sc *reqScratch,
+	tr *trace.Req, urlName string) failure {
 	dsp := tr.Start(trace.PhaseDecode)
-	q, err := wire.DecodeQuery(&ws.sc, payload)
+	q, err := wire.DecodeQuery(&sc.sc, payload)
 	if err != nil {
 		dsp.End()
-		return ws.fail(http.StatusBadRequest, wire.KindBadFrame, err.Error())
+		return badFrame(err)
 	}
 	dsp.Attr(trace.AttrKeys, int64(len(q.Keys))).Attr(trace.AttrBytes, int64(len(payload))).End()
-	e, code := h.lookupFrame(ws, urlName, q.Name)
-	if e == nil {
-		return code
+	e, f := s.lookupFrame(urlName, q.Name)
+	if f.failed() {
+		return f
 	}
-	var pred core.Predicate
-	if len(q.Pred) > 0 {
-		if q.ViaView {
-			// The view cache canonicalizes and may outlive this request;
-			// hand it an owned predicate, not one aliasing frame scratch.
-			pred = make(core.Predicate, 0, len(q.Pred))
-		} else {
-			ws.pred = ws.pred[:0]
-			pred = ws.pred
-		}
-		for _, c := range q.Pred {
-			vals := c.Values
-			if q.ViaView {
-				vals = append([]uint64(nil), c.Values...)
-			}
-			pred = append(pred, core.Cond{Attr: c.Attr, Values: vals})
-		}
-		if !q.ViaView {
-			ws.pred = pred
-		}
+	results, hit, f := s.query(ctx, e, q.Keys, sc.framePred(q.Pred, q.ViaView), q.ViaView, sc, tr)
+	if f.failed() {
+		return f
 	}
-	if err := pred.Validate(e.Filter().Params().NumAttrs); err != nil {
-		return ws.fail(http.StatusBadRequest, wire.KindBadRequest, err.Error())
-	}
-	if ok, wait := e.admitUnits(len(q.Keys)); !ok {
-		h.sm.rateLimited.Inc()
-		return ws.fail(http.StatusTooManyRequests, wire.KindRateLimited,
-			"filter rate limit exceeded, retry in "+retryAfterSecs(wait)+"s")
-	}
-	h.sm.queryKeys.Observe(int64(len(q.Keys)))
-	var results []bool
-	cacheHit := false
-	if q.ViaView {
-		view, hit, err := e.PredicateView(pred)
-		if err != nil {
-			return ws.fail(http.StatusBadRequest, wire.KindBadRequest, err.Error())
-		}
-		if hit {
-			h.sm.viewHits.Inc()
-		} else {
-			h.sm.viewMisses.Inc()
-		}
-		cacheHit = hit
-		vsp := tr.Start(trace.PhaseViewProbe)
-		results = view.ContainsBatchInto(ws.results[:0], q.Keys)
-		vsp.Attr(trace.AttrKeys, int64(len(q.Keys))).End()
-	} else {
-		results, err = e.Filter().QueryBatchDeadlineInto(ctx, ws.results[:0], q.Keys, pred, tr)
-		if err != nil {
-			h.sm.deadline.Inc()
-			if cap(results) > cap(ws.results) {
-				ws.results = results[:0]
-			}
-			return ws.fail(http.StatusGatewayTimeout, wire.KindDeadline, err.Error())
-		}
-	}
-	ws.results = results[:0]
 	esp := tr.Start(trace.PhaseEncode)
-	ws.out = wire.AppendResult(ws.out, results, q.ViaView, cacheHit)
-	esp.Attr(trace.AttrKeys, int64(len(results))).Attr(trace.AttrBytes, int64(len(ws.out))).End()
-	return http.StatusOK
+	sc.out = wire.AppendResult(sc.out, results, q.ViaView, hit)
+	esp.Attr(trace.AttrKeys, int64(len(results))).Attr(trace.AttrBytes, int64(len(sc.out))).End()
+	return failure{}
 }
 
-func (h *wireHandler) insert(ctx context.Context, payload []byte, ws *wireScratch,
-	tr *trace.Req, urlName string) int {
+func (s *Server) insertFrame(ctx context.Context, payload []byte, sc *reqScratch,
+	tr *trace.Req, urlName string) failure {
 	dsp := tr.Start(trace.PhaseDecode)
-	ins, err := wire.DecodeInsert(&ws.sc, payload)
+	ins, err := wire.DecodeInsert(&sc.sc, payload)
 	if err != nil {
 		dsp.End()
-		return ws.fail(http.StatusBadRequest, wire.KindBadFrame, err.Error())
+		return badFrame(err)
 	}
 	dsp.Attr(trace.AttrRows, int64(len(ins.Keys))).Attr(trace.AttrBytes, int64(len(payload))).End()
-	e, code := h.lookupFrame(ws, urlName, ins.Name)
-	if e == nil {
-		return code
+	e, f := s.lookupFrame(urlName, ins.Name)
+	if f.failed() {
+		return f
 	}
-	rows := len(ins.Keys)
-	if ok, wait := e.admitUnits(rows); !ok {
-		h.sm.rateLimited.Inc()
-		return ws.fail(http.StatusTooManyRequests, wire.KindRateLimited,
-			"filter rate limit exceeded, retry in "+retryAfterSecs(wait)+"s")
-	}
-	// Deadline checkpoint before the WAL append, same as the JSON path:
-	// once a record is logged the batch runs to completion.
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			h.sm.deadline.Inc()
-			return ws.fail(http.StatusGatewayTimeout, wire.KindDeadline, err.Error())
-		}
-	}
-	h.sm.insertRows.Observe(int64(rows))
-	// Rebuild the shard layer's [][]uint64 row shape as sub-slices of the
-	// decoded flat attr block — recycled headers, no value copies.
-	na := ins.NumAttrs
-	ws.rows = ws.rows[:0]
+	// Rebuild the core's [][]uint64 row shape as sub-slices of the decoded
+	// flat attr block — recycled headers, no value copies.
+	rows, na := len(ins.Keys), ins.NumAttrs
+	sc.rows = sc.rows[:0]
 	for i := 0; i < rows; i++ {
-		ws.rows = append(ws.rows, ins.Attrs[i*na:(i+1)*na:(i+1)*na])
+		sc.rows = append(sc.rows, ins.Attrs[i*na:(i+1)*na:(i+1)*na])
 	}
-	errs, storeErr := e.InsertBatchTraced(ws.errs[:0], ins.Keys, ws.rows, tr)
-	if errs != nil && cap(errs) >= cap(ws.errs) {
-		ws.errs = errs[:0]
+	statuses, accepted, f := s.insert(ctx, e, ins.Keys, sc.rows, sc, tr)
+	if f.failed() {
+		return f
 	}
-	if storeErr != nil {
-		// WAL append or fsync failed: rows may not survive a crash, so the
-		// batch must not be acked.
-		switch {
-		case errors.Is(storeErr, store.ErrDegraded):
-			return ws.fail(http.StatusServiceUnavailable, wire.KindDegraded, storeErr.Error())
-		case errors.Is(storeErr, context.DeadlineExceeded), errors.Is(storeErr, context.Canceled):
-			h.sm.deadline.Inc()
-			return ws.fail(http.StatusGatewayTimeout, wire.KindDeadline, storeErr.Error())
-		default:
-			return ws.fail(http.StatusInternalServerError, wire.KindInternal, storeErr.Error())
-		}
-	}
-	accepted := rows
-	var statuses []byte
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if statuses == nil {
-			if cap(ws.statuses) < rows {
-				ws.statuses = make([]byte, rows, rows+rows/2+8)
-			}
-			statuses = ws.statuses[:rows]
-			for j := range statuses {
-				statuses[j] = byte(shard.RowInserted)
-			}
-		}
-		st := shard.StatusOf(err)
-		statuses[i] = byte(st)
-		h.sm.rowStatus[st].Inc()
-		accepted--
-	}
-	h.sm.rowStatus[shard.RowInserted].Add(uint64(accepted))
 	esp := tr.Start(trace.PhaseEncode)
-	ws.out = wire.AppendInserted(ws.out, accepted, rows, statuses)
-	esp.Attr(trace.AttrRows, int64(rows)).Attr(trace.AttrBytes, int64(len(ws.out))).End()
-	return http.StatusOK
+	sc.out = wire.AppendInserted(sc.out, accepted, rows, statuses)
+	esp.Attr(trace.AttrRows, int64(rows)).Attr(trace.AttrBytes, int64(len(sc.out))).End()
+	return failure{}
 }
 
 // wireHTTP serves one content-negotiated binary request on an existing
@@ -294,25 +160,20 @@ func (h *wireHandler) insert(ctx context.Context, payload []byte, ws *wireScratc
 // so wrap()'s admission control, deadlines, tracing, and per-endpoint
 // metrics apply unchanged.
 func (s *Server) wireHTTP(w http.ResponseWriter, r *http.Request, want wire.Op) {
-	tr := reqTrace(w)
-	ws := wireScratchPool.Get().(*wireScratch)
-	defer putWireScratch(ws)
-	ws.out = ws.out[:0]
-	op, payload, err := wire.ReadFrame(r.Body, &ws.buf, s.maxBody)
-	var code int
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.out = sc.out[:0]
+	op, payload, err := wire.ReadFrame(r.Body, &sc.buf, s.maxBody)
+	var f failure
 	if err != nil {
-		c, kind := wireReadError(err)
-		code = ws.fail(c, kind, err.Error())
+		f = badFrame(err)
 	} else {
-		var ctx context.Context
-		if s.deadlines {
-			ctx = r.Context()
-		}
-		code = s.wh.process(ctx, op, payload, ws, tr, r.PathValue("name"), want)
+		f = s.process(s.reqCtx(r), op, payload, sc, reqTrace(w), r.PathValue("name"), want)
+	}
+	if f.failed() {
+		writeFailure(w, r, f)
+		return
 	}
 	w.Header().Set("Content-Type", wire.ContentType)
-	if code != http.StatusOK {
-		w.WriteHeader(code)
-	}
-	w.Write(ws.out)
+	w.Write(sc.out)
 }

@@ -456,8 +456,8 @@ func TestWireRequestsByProtocolMetric(t *testing.T) {
 }
 
 // wireAllocServer builds the fixture for the zero-alloc guards: a
-// volatile filter with rows in it, a wireHandler, and a warm scratch.
-func wireAllocServer(t *testing.T, tracer *trace.Tracer) (*Server, *Entry, *wireScratch, []byte, []byte) {
+// volatile filter with rows in it, a server, and a request scratch.
+func wireAllocServer(t *testing.T, tracer *trace.Tracer) (*Server, *Entry, *reqScratch, []byte, []byte) {
 	t.Helper()
 	reg, e := testRegistry(t)
 	insertRows(t, e, 4096)
@@ -470,29 +470,31 @@ func wireAllocServer(t *testing.T, tracer *trace.Tracer) (*Server, *Entry, *wire
 	}
 	qframe := wire.AppendQuery(nil, "movies", []wire.Cond{{Attr: 0, Values: []uint64{1, 2}}}, keys, false)
 	iframe := wire.AppendInsert(nil, "movies", keys, flat, 2)
-	return s, e, new(wireScratch), qframe, iframe
+	return s, e, new(reqScratch), qframe, iframe
 }
 
-// roundTrip runs one decode→probe→encode cycle exactly as the TCP loop
-// does, minus the socket. The reader is reused so the harness itself
-// stays allocation-free.
+// roundTrip runs one decode→core→encode cycle exactly as the TCP loop
+// does, minus the socket: the binary codec shell decodes the frame and
+// calls the request core, which probes or inserts, and the shell encodes
+// the response. The reader is reused so the harness itself stays
+// allocation-free.
 var roundTripReader bytes.Reader
 
-func roundTrip(t *testing.T, s *Server, ws *wireScratch, frame []byte, tr *trace.Req) {
+func roundTrip(t *testing.T, s *Server, ws *reqScratch, frame []byte, tr *trace.Req) {
 	roundTripReader.Reset(frame)
 	op, payload, err := wire.ReadFrame(&roundTripReader, &ws.buf, 0)
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
 	}
 	ws.out = ws.out[:0]
-	if code := s.wh.process(nil, op, payload, ws, tr, "", 0); code != http.StatusOK {
-		t.Fatalf("process: status %d (%s)", code, ws.out)
+	if f := s.process(nil, op, payload, ws, tr, "", 0); f.failed() {
+		t.Fatalf("process: status %d (%s)", f.code, f.msg)
 	}
 }
 
 // TestWireZeroAllocRoundTrip is the acceptance guard: the wire
-// decode→probe→encode round trip runs at 0 allocs/op steady-state, with
-// tracing sampled off and sampled on.
+// decode→request core→encode round trip runs at 0 allocs/op
+// steady-state, with tracing sampled off and sampled on.
 func TestWireZeroAllocRoundTrip(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")

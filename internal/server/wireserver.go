@@ -17,8 +17,8 @@ import (
 // Server is the serving layer built once over a registry: the HTTP API
 // (Handler) and the raw-TCP binary wire listener (ServeWire) share one
 // set of metric handles, one admission limiter, one tracer, and one
-// frame-execution core, so a request is governed identically whichever
-// door it came through.
+// request core (request.go), so a request is governed identically
+// whichever door and codec it came through.
 type Server struct {
 	reg       *Registry
 	opts      HandlerOptions
@@ -26,7 +26,6 @@ type Server struct {
 	deadlines bool
 	sm        *serverMetrics
 	lim       *limiter
-	wh        wireHandler
 	handler   http.Handler
 
 	// Raw-TCP wire listener state: connection tracking for graceful
@@ -70,7 +69,6 @@ func NewServer(reg *Registry, opts HandlerOptions) *Server {
 		lim:       lim,
 		wireConns: make(map[net.Conn]struct{}),
 	}
-	s.wh = wireHandler{reg: reg, sm: sm}
 	if opts.Tracer != nil {
 		sm.wireLatency.EnableExemplars()
 	}
@@ -167,7 +165,7 @@ func (s *Server) serveWireConn(c net.Conn) {
 	}()
 	br := bufio.NewReaderSize(c, 64<<10)
 	bw := bufio.NewWriterSize(c, 64<<10)
-	ws := new(wireScratch) // per-connection; never contended, never pooled
+	ws := new(reqScratch) // per-connection; never contended, never pooled
 	for {
 		// Arm the idle deadline only when about to block on the socket; a
 		// pipelined burst already buffered pays no deadline syscalls.
@@ -181,9 +179,7 @@ func (s *Server) serveWireConn(c net.Conn) {
 				// leaves no way to find the next frame boundary: answer with
 				// a typed error frame, then close — the binary mirror of the
 				// 413/400 connection close on the HTTP path.
-				ws.out = ws.out[:0]
-				code, kind := wireReadError(err)
-				ws.fail(code, kind, err.Error())
+				ws.out = badFrame(err).appendFrame(ws.out[:0])
 				bw.Write(ws.out)
 				bw.Flush()
 			}
@@ -201,38 +197,47 @@ func (s *Server) serveWireConn(c net.Conn) {
 	}
 }
 
-// handleWireFrame runs one TCP-path frame through admission control,
-// the shared frame core, tracing, and the wire request metrics,
-// leaving the response frame in ws.out.
-func (s *Server) handleWireFrame(op wire.Op, payload []byte, ws *wireScratch) {
+// handleWireFrame runs one TCP-path frame through the readiness gate,
+// admission control, the binary codec shell, tracing, and the wire
+// request metrics, leaving the response frame in ws.out.
+func (s *Server) handleWireFrame(op wire.Op, payload []byte, ws *reqScratch) {
 	start := time.Now()
 	tr := s.opts.Tracer.StartRequest("")
 	ws.out = ws.out[:0]
 	s.sm.protoBinTCP.Inc()
-	var code int
+	var f failure
 	shed := ""
-	if s.lim != nil {
+	ready := s.opts.Health.serving()
+	if ready && s.lim != nil {
 		qsp := tr.Start(trace.PhaseQueue)
 		shed = s.lim.acquire(nil)
 		qsp.End()
 	}
-	if shed != "" {
+	switch {
+	case !ready:
+		f = errNotReady
+	case shed != "":
 		s.sm.shed[shed].Inc()
-		code = ws.fail(http.StatusServiceUnavailable, wire.KindOverloaded,
-			"server overloaded ("+shed+")")
-	} else {
+		f = failure{code: http.StatusServiceUnavailable, kind: wire.KindOverloaded,
+			msg: "server overloaded (" + shed + ")"}
+	default:
 		var ctx context.Context
 		var cancel context.CancelFunc
 		if s.deadlines {
 			ctx, cancel = context.WithTimeout(context.Background(), s.opts.Admission.RequestTimeout)
 		}
-		code = s.wh.process(ctx, op, payload, ws, tr, "", 0)
+		f = s.process(ctx, op, payload, ws, tr, "", 0)
 		if cancel != nil {
 			cancel()
 		}
 		if s.lim != nil {
 			s.lim.release()
 		}
+	}
+	code := http.StatusOK
+	if f.failed() {
+		ws.out = f.appendFrame(ws.out)
+		code = f.code
 	}
 	dur := time.Since(start)
 	tid := tr.TraceID()

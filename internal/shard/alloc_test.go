@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ccf/internal/core"
 	"ccf/internal/obs/trace"
@@ -48,23 +50,6 @@ func TestQueryBatchIntoSteadyStateZeroAlloc(t *testing.T) {
 			dst = s.QueryBatchInto(dst[:0], batch, pred)
 		}); n != 0 {
 			t.Errorf("shards=%d: QueryBatchInto allocates %.2f allocs/op, want 0", shards, n)
-		}
-	}
-}
-
-func TestQueryKeyBatchIntoSteadyStateZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector; alloc counts are meaningless")
-	}
-	for _, shards := range []int{1, 4} {
-		s, keys := loadedSharded(t, shards)
-		batch := keys[:1024]
-		dst := make([]bool, 0, len(batch))
-		dst = s.QueryKeyBatchInto(dst, batch) // warm the scratch pools
-		if n := testing.AllocsPerRun(200, func() {
-			dst = s.QueryKeyBatchInto(dst[:0], batch)
-		}); n != 0 {
-			t.Errorf("shards=%d: QueryKeyBatchInto allocates %.2f allocs/op, want 0", shards, n)
 		}
 	}
 }
@@ -307,7 +292,7 @@ func TestQueryBatchTracedZeroAlloc(t *testing.T) {
 			dst := make([]bool, 0, len(batch))
 			run := func() {
 				r := tr.StartRequest("")
-				dst = s.QueryBatchTracedInto(dst[:0], batch, pred, r)
+				dst, _ = s.QueryBatchContext(nil, dst[:0], batch, pred, r)
 				tr.Finish(r, 200)
 			}
 			// Warm past the request pool and the recorder's slot-recycled
@@ -322,25 +307,51 @@ func TestQueryBatchTracedZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestQueryKeyBatchTracedZeroAlloc: same guard for the key-only probe.
-func TestQueryKeyBatchTracedZeroAlloc(t *testing.T) {
+// TestQueryBatchContextZeroAllocMatrix pins the one batch entry point at
+// 0 allocs/op in every combination the serving layer uses: a predicate or
+// the empty one (key membership), traced into a sampled recorder or not,
+// and with no deadline or a live one — on the single-shard fast path and
+// the grouped path.
+func TestQueryBatchContextZeroAllocMatrix(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; alloc counts are meaningless")
 	}
-	tr := trace.New(trace.Options{SampleEvery: 1, Recorder: trace.NewRecorder(4, 4)})
-	s, keys := loadedSharded(t, 4)
-	batch := keys[:1024]
-	dst := make([]bool, 0, len(batch))
-	run := func() {
-		r := tr.StartRequest("")
-		dst = s.QueryKeyBatchTracedInto(dst[:0], batch, r)
-		tr.Finish(r, 200)
-	}
-	for i := 0; i < 16; i++ {
-		run()
-	}
-	if n := testing.AllocsPerRun(200, run); n != 0 {
-		t.Errorf("traced QueryKeyBatch allocates %.2f allocs/op, want 0", n)
+	tracer := trace.New(trace.Options{SampleEvery: 1, Recorder: trace.NewRecorder(4, 4)})
+	live, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	for _, shards := range []int{1, 4} {
+		s, keys := loadedSharded(t, shards)
+		batch := keys[:1024]
+		dst := make([]bool, 0, len(batch))
+		for _, pc := range []struct {
+			name string
+			pred core.Predicate
+		}{{"pred", core.And(core.Eq(0, 3))}, {"empty", nil}} {
+			for _, tc := range []struct {
+				name string
+				tr   *trace.Tracer
+			}{{"untraced", nil}, {"traced", tracer}} {
+				for _, cc := range []struct {
+					name string
+					ctx  context.Context
+				}{{"nodeadline", nil}, {"deadline", live}} {
+					run := func() {
+						r := tc.tr.StartRequest("")
+						dst, _ = s.QueryBatchContext(cc.ctx, dst[:0], batch, pc.pred, r)
+						tc.tr.Finish(r, 200)
+					}
+					// Warm past the scratch pools, the request pool and the
+					// recorder's slot-recycled span storage before counting.
+					for i := 0; i < 16; i++ {
+						run()
+					}
+					if n := testing.AllocsPerRun(100, run); n != 0 {
+						t.Errorf("shards=%d %s/%s/%s: QueryBatchContext allocates %.2f allocs/op, want 0",
+							shards, pc.name, tc.name, cc.name, n)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -353,7 +364,7 @@ func TestQueryBatchTracedAttributes(t *testing.T) {
 	s, keys := loadedSharded(t, 4)
 	pred := core.And(core.Eq(0, 3))
 	r := tr.StartRequest("")
-	out := s.QueryBatchTracedInto(nil, keys[:256], pred, r)
+	out, _ := s.QueryBatchContext(nil, nil, keys[:256], pred, r)
 	if len(out) != 256 {
 		t.Fatalf("results = %d, want 256", len(out))
 	}

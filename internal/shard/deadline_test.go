@@ -18,7 +18,7 @@ func TestQueryBatchDeadlineMatchesUndeadlined(t *testing.T) {
 		pred := core.And(core.Eq(0, 3))
 		batch := keys[:512]
 		want := s.QueryBatchInto(nil, batch, pred)
-		got, err := s.QueryBatchDeadlineInto(context.Background(), nil, batch, pred, nil)
+		got, err := s.QueryBatchContext(context.Background(), nil, batch, pred, nil)
 		if err != nil {
 			t.Fatalf("shards=%d: unexpected error: %v", shards, err)
 		}
@@ -27,8 +27,8 @@ func TestQueryBatchDeadlineMatchesUndeadlined(t *testing.T) {
 				t.Fatalf("shards=%d: result %d diverged under a live ctx", shards, i)
 			}
 		}
-		wantK := s.QueryKeyBatchInto(nil, batch)
-		gotK, err := s.QueryKeyBatchDeadlineInto(context.Background(), nil, batch, nil)
+		wantK := s.QueryBatchInto(nil, batch, nil)
+		gotK, err := s.QueryBatchContext(context.Background(), nil, batch, nil, nil)
 		if err != nil {
 			t.Fatalf("shards=%d: key batch: unexpected error: %v", shards, err)
 		}
@@ -40,8 +40,9 @@ func TestQueryBatchDeadlineMatchesUndeadlined(t *testing.T) {
 	}
 }
 
-// TestQueryBatchDeadlineExpired verifies both batch entry points notice
-// an already-expired ctx before doing work and surface its error.
+// TestQueryBatchDeadlineExpired verifies the batch entry point notices an
+// already-expired ctx before doing work and surfaces its error, with a
+// predicate and with the empty (key-membership) one.
 func TestQueryBatchDeadlineExpired(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		s, keys := loadedSharded(t, shards)
@@ -50,13 +51,13 @@ func TestQueryBatchDeadlineExpired(t *testing.T) {
 
 		cancelled, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := s.QueryBatchDeadlineInto(cancelled, nil, batch, pred, nil); !errors.Is(err, context.Canceled) {
+		if _, err := s.QueryBatchContext(cancelled, nil, batch, pred, nil); !errors.Is(err, context.Canceled) {
 			t.Fatalf("shards=%d: got %v, want context.Canceled", shards, err)
 		}
 
 		expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 		defer cancel2()
-		if _, err := s.QueryKeyBatchDeadlineInto(expired, nil, batch, nil); !errors.Is(err, context.DeadlineExceeded) {
+		if _, err := s.QueryBatchContext(expired, nil, batch, nil, nil); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("shards=%d: got %v, want context.DeadlineExceeded", shards, err)
 		}
 	}
@@ -75,16 +76,16 @@ func TestQueryBatchDeadlineZeroAlloc(t *testing.T) {
 		pred := core.And(core.Eq(0, 3))
 		batch := keys[:1024]
 		dst := make([]bool, 0, len(batch))
-		dst, _ = s.QueryBatchDeadlineInto(ctx, dst, batch, pred, nil) // warm scratch pool
+		dst, _ = s.QueryBatchContext(ctx, dst, batch, pred, nil) // warm scratch pool
 		if n := testing.AllocsPerRun(200, func() {
-			dst, _ = s.QueryBatchDeadlineInto(ctx, dst[:0], batch, pred, nil)
+			dst, _ = s.QueryBatchContext(ctx, dst[:0], batch, pred, nil)
 		}); n != 0 {
-			t.Errorf("shards=%d: QueryBatchDeadlineInto allocates %.2f allocs/op, want 0", shards, n)
+			t.Errorf("shards=%d: QueryBatchContext allocates %.2f allocs/op, want 0", shards, n)
 		}
 		if n := testing.AllocsPerRun(200, func() {
-			dst, _ = s.QueryKeyBatchDeadlineInto(ctx, dst[:0], batch, nil)
+			dst, _ = s.QueryBatchContext(ctx, dst[:0], batch, nil, nil)
 		}); n != 0 {
-			t.Errorf("shards=%d: QueryKeyBatchDeadlineInto allocates %.2f allocs/op, want 0", shards, n)
+			t.Errorf("shards=%d: empty-predicate QueryBatchContext allocates %.2f allocs/op, want 0", shards, n)
 		}
 	}
 }

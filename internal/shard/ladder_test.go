@@ -1,12 +1,14 @@
 package shard
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ccf/internal/core"
+	"ccf/internal/obs/trace"
 )
 
 // TestShardedAutoGrow is the sharded acceptance property: a filter
@@ -45,7 +47,7 @@ func TestShardedAutoGrow(t *testing.T) {
 			t.Fatalf("shard %d detail malformed: %+v", i, d)
 		}
 	}
-	out := s.QueryKeyBatchInto(nil, keys)
+	out := s.QueryBatchInto(nil, keys, nil)
 	for i := range out {
 		if !out[i] {
 			t.Fatalf("false negative for key %d after growth", keys[i])
@@ -234,7 +236,7 @@ func TestSeqlockGrowFoldTorture(t *testing.T) {
 				default:
 				}
 				lo := (i * 128) % (stable - 256)
-				out = s.QueryKeyBatchInto(out[:0], keys[lo:lo+256])
+				out = s.QueryBatchInto(out[:0], keys[lo:lo+256], nil)
 				for j := range out {
 					if !out[j] {
 						misses.Add(1)
@@ -319,6 +321,67 @@ func TestSeqlockGrowFoldTorture(t *testing.T) {
 	for _, k := range keys {
 		if !s.QueryKey(k) {
 			t.Fatalf("stable key %d missing after torture", k)
+		}
+	}
+}
+
+// TestQueryBatchContextMatchesPointProbes is the differential check on the
+// one batch entry point over a 2-shard filter grown past one level: the
+// empty predicate answers exactly what point QueryKey answers, and a
+// predicate exactly what point Query answers, traced and untraced. Plain
+// filters also delete rows first, since Delete clears the slot that the
+// key-membership probe would otherwise still find.
+func TestQueryBatchContextMatchesPointProbes(t *testing.T) {
+	tracer := trace.New(trace.Options{SampleEvery: 1, Recorder: trace.NewRecorder(4, 4)})
+	for _, v := range []core.Variant{core.VariantPlain, core.VariantChained, core.VariantBloom, core.VariantMixed} {
+		s, err := New(Options{
+			Shards:   2,
+			Workers:  1,
+			AutoGrow: core.LadderOptions{MaxLevels: 6},
+			Params:   core.Params{Variant: v, NumAttrs: 2, Capacity: 1024, Seed: 9},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, attrs := mkRows(4096)
+		for i, err := range s.InsertBatch(keys, attrs) {
+			if err != nil {
+				t.Fatalf("%v: row %d: %v", v, i, err)
+			}
+		}
+		if st := s.Stats(); st.MaxLevels < 2 {
+			t.Fatalf("%v: ladder did not grow (max levels %d)", v, st.MaxLevels)
+		}
+		if v == core.VariantPlain {
+			for i := 0; i < len(keys); i += 5 {
+				if err := s.Delete(keys[i], attrs[i]); err != nil {
+					t.Fatalf("delete row %d: %v", i, err)
+				}
+			}
+		}
+		probe := make([]uint64, 0, 2*len(keys))
+		for _, k := range keys {
+			probe = append(probe, k, k^0x5bd1e9955bd1e995)
+		}
+		for _, pred := range []core.Predicate{nil, core.And(core.Eq(0, 3)), core.And(core.In(0, 1, 2), core.Eq(1, 0))} {
+			for _, tr := range []*trace.Tracer{nil, tracer} {
+				r := tr.StartRequest("")
+				got, err := s.QueryBatchContext(context.Background(), nil, probe, pred, r)
+				tr.Finish(r, 200)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, k := range probe {
+					want := s.Query(k, pred)
+					if len(pred) == 0 {
+						want = s.QueryKey(k)
+					}
+					if got[i] != want {
+						t.Fatalf("%v pred=%v traced=%v: key %d batch %v, point %v",
+							v, pred, tr != nil, k, got[i], want)
+					}
+				}
+			}
 		}
 	}
 }

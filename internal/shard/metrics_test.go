@@ -113,10 +113,10 @@ func TestInstrumentedFallbackPathZeroAlloc(t *testing.T) {
 	s.SetPessimisticReads(true)
 	batch := keys[:1024]
 	dst := make([]bool, 0, len(batch))
-	dst = s.QueryKeyBatchInto(dst, batch) // warm the grouping scratch pool
+	dst = s.QueryBatchInto(dst, batch, nil) // warm the grouping scratch pool
 	before := s.Metrics().SeqlockFallbacks.Value()
 	if n := testing.AllocsPerRun(200, func() {
-		dst = s.QueryKeyBatchInto(dst[:0], batch)
+		dst = s.QueryBatchInto(dst[:0], batch, nil)
 	}); n != 0 {
 		t.Errorf("instrumented fallback path allocates %.2f allocs/op, want 0", n)
 	}

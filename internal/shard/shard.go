@@ -643,15 +643,8 @@ func (s *ShardedFilter) insertShardGroup(sh int, idxs []int32, keys []uint64,
 	c.mu.Unlock()
 }
 
-// QueryBatch answers one membership query per key under pred, grouping
-// keys by shard and probing each shard's span in one seqlock read section
-// through core's batched pipeline. The predicate is validated once per
-// shard group — inside the same read section as the probes, so a
-// concurrent Restore cannot change NumAttrs between validation and
-// probing; an invalid predicate yields all true, matching Query's
-// conservative no-false-negatives contract. A Restore that races the
-// batch is detected by the generation check and the batch retries, so
-// results always reflect one consistent routing.
+// QueryBatch answers one membership query per key under pred; see
+// QueryBatchContext.
 func (s *ShardedFilter) QueryBatch(keys []uint64, pred core.Predicate) []bool {
 	if len(keys) == 0 {
 		return nil
@@ -664,26 +657,34 @@ func (s *ShardedFilter) QueryBatch(keys []uint64, pred core.Predicate) []bool {
 // makes the steady-state sharded probe path allocation-free: servers and
 // benchmark loops recycle one result buffer per client.
 func (s *ShardedFilter) QueryBatchInto(dst []bool, keys []uint64, pred core.Predicate) []bool {
-	return s.QueryBatchTracedInto(dst, keys, pred, nil)
-}
-
-// QueryBatchTracedInto is QueryBatchInto emitting one shard_probe span
-// per shard group into tr (nil tr probes untraced — the branch is the
-// only cost, preserving the zero-alloc guarantee either way).
-func (s *ShardedFilter) QueryBatchTracedInto(dst []bool, keys []uint64, pred core.Predicate, tr *trace.Req) []bool {
-	out, _ := s.QueryBatchDeadlineInto(nil, dst, keys, pred, tr)
+	out, _ := s.QueryBatchContext(nil, dst, keys, pred, nil)
 	return out
 }
 
-// QueryBatchDeadlineInto is QueryBatchTracedInto honoring ctx: the batch
-// checks for cancellation before each routing attempt and between
-// sequential shard groups, returning ctx's error with the results
-// produced so far (partial — callers must not serve them). A nil ctx
-// (or one that never expires) costs one nil check per group, keeping
-// the un-deadlined hot path allocation-free. One shard group is the
-// minimum unit of work: cancellation never tears a group's seqlock
-// read section.
-func (s *ShardedFilter) QueryBatchDeadlineInto(ctx context.Context, dst []bool, keys []uint64, pred core.Predicate, tr *trace.Req) ([]bool, error) {
+// QueryBatchContext is the sharded filter's one batch probe. It answers
+// one membership query per key under pred, writing results into dst
+// (grown if its capacity is short), grouping keys by shard and probing
+// each shard's span in one seqlock read section through the ladder's
+// batch walker. A nil or empty pred is key membership: it answers
+// exactly what QueryKey answers (see core.Ladder.QueryBatchIdxWalk).
+//
+// The predicate is validated once per shard group — inside the same
+// read section as the probes, so a concurrent Restore cannot change
+// NumAttrs between validation and probing; an invalid predicate yields
+// all true, matching Query's conservative no-false-negatives contract. A
+// Restore that races the batch is detected by the generation check and
+// the batch retries, so results always reflect one consistent routing.
+//
+// tr, when non-nil, receives one shard_probe span per shard group (nil
+// probes untraced — the branch is the only cost, preserving the
+// zero-alloc guarantee either way). ctx is checked before each routing
+// attempt and between sequential shard groups; on cancellation the
+// batch returns ctx's error with the results produced so far (partial —
+// callers must not serve them). A nil ctx (or one that never expires)
+// costs one nil check per group, keeping the un-deadlined hot path
+// allocation-free. One shard group is the minimum unit of work:
+// cancellation never tears a group's seqlock read section.
+func (s *ShardedFilter) QueryBatchContext(ctx context.Context, dst []bool, keys []uint64, pred core.Predicate, tr *trace.Req) ([]bool, error) {
 	out := dst
 	if cap(out) < len(keys) {
 		out = make([]bool, len(keys))
@@ -708,67 +709,6 @@ func (s *ShardedFilter) QueryBatchDeadlineInto(ctx context.Context, dst []bool, 
 			continue
 		}
 		done, err := s.queryGrouped(ctx, rt, keys, pred, out, gen, tr)
-		if err != nil {
-			return out, err
-		}
-		if done {
-			return out, nil
-		}
-	}
-}
-
-// QueryKeyBatch answers QueryKey for every key: predicate-free key
-// membership, the cheapest probe the filter offers (two word compares per
-// key on the packed layout).
-func (s *ShardedFilter) QueryKeyBatch(keys []uint64) []bool {
-	if len(keys) == 0 {
-		return nil
-	}
-	return s.QueryKeyBatchInto(nil, keys)
-}
-
-// QueryKeyBatchInto is QueryKeyBatch writing results into dst (grown if
-// its capacity is short), batched through core.ContainsBatchIdx under the
-// same seqlock-and-retry protocol as QueryBatchInto.
-func (s *ShardedFilter) QueryKeyBatchInto(dst []bool, keys []uint64) []bool {
-	return s.QueryKeyBatchTracedInto(dst, keys, nil)
-}
-
-// QueryKeyBatchTracedInto is QueryKeyBatchInto emitting one shard_probe
-// span per shard group into tr (nil tr probes untraced).
-func (s *ShardedFilter) QueryKeyBatchTracedInto(dst []bool, keys []uint64, tr *trace.Req) []bool {
-	out, _ := s.QueryKeyBatchDeadlineInto(nil, dst, keys, tr)
-	return out
-}
-
-// QueryKeyBatchDeadlineInto is QueryKeyBatchTracedInto honoring ctx
-// under the same cancellation-checkpoint contract as
-// QueryBatchDeadlineInto.
-func (s *ShardedFilter) QueryKeyBatchDeadlineInto(ctx context.Context, dst []bool, keys []uint64, tr *trace.Req) ([]bool, error) {
-	out := dst
-	if cap(out) < len(keys) {
-		out = make([]bool, len(keys))
-	} else {
-		out = out[:len(keys)]
-	}
-	if len(keys) == 0 {
-		return out, nil
-	}
-	for {
-		if err := ctxErr(ctx); err != nil {
-			return out, err
-		}
-		gen := s.gen.Load()
-		rt := s.router()
-		if rt.n == 1 {
-			var stale atomic.Bool
-			s.queryKeyShardGroup(0, nil, keys, out, gen, &stale, tr)
-			if !stale.Load() {
-				return out, nil
-			}
-			continue
-		}
-		done, err := s.queryKeyGrouped(ctx, rt, keys, out, gen, tr)
 		if err != nil {
 			return out, err
 		}
@@ -810,30 +750,6 @@ func (s *ShardedFilter) queryGrouped(ctx context.Context, rt router, keys []uint
 	return done, err
 }
 
-// queryKeyGrouped is queryGrouped for the predicate-free key batch.
-func (s *ShardedFilter) queryKeyGrouped(ctx context.Context, rt router, keys []uint64, out []bool, gen uint64, tr *trace.Req) (bool, error) {
-	sc := scratchPool.Get().(*batchScratch)
-	sc.stale.Store(false)
-	rt.group(keys, sc)
-	var err error
-	if w := groupWorkers(s.workers, sc); w <= 1 {
-		for _, sh := range sc.groups {
-			if err = ctxErr(ctx); err != nil {
-				break
-			}
-			s.queryKeyShardGroup(int(sh), sc.order[sc.start[sh]:sc.start[sh+1]],
-				keys, out, gen, &sc.stale, tr)
-		}
-	} else {
-		runGroupsParallel(w, sc, func(sh int, idxs []int32) {
-			s.queryKeyShardGroup(sh, idxs, keys, out, gen, &sc.stale, tr)
-		})
-	}
-	done := !sc.stale.Load()
-	scratchPool.Put(sc)
-	return done, err
-}
-
 // ctxErr reports ctx's cancellation state without blocking; a nil ctx
 // never cancels and costs only the nil check — deadline-free callers
 // keep the allocation-free fast path.
@@ -855,27 +771,14 @@ func ctxErr(ctx context.Context) error {
 // NumAttrs between validation and probing; an invalid predicate yields
 // all true, matching Query's conservative no-false-negatives contract.
 // The probe body is idempotent (it assigns into out), so a seqlock retry
-// simply overwrites the discarded attempt.
+// simply overwrites the discarded attempt. Untraced (tr nil), the span
+// calls are no-ops and the walk depth goes unreported.
 func (s *ShardedFilter) queryShardGroup(sh int, idxs []int32, keys []uint64,
 	pred core.Predicate, out []bool, gen uint64, stale *atomic.Bool, tr *trace.Req) {
-	c := &s.cells[sh]
-	if tr == nil {
-		ok := s.readCell(c, gen, func(f *core.Ladder) {
-			if pred.Validate(f.Params().NumAttrs) != nil {
-				markTrue(out, idxs)
-				return
-			}
-			f.QueryBatchIdx(out, keys, idxs, pred)
-		}, nil)
-		if !ok {
-			stale.Store(true)
-		}
-		return
-	}
 	sp := tr.Start(trace.PhaseShardProbe)
 	var pc probeCount
 	var walked int
-	ok := s.readCell(c, gen, func(f *core.Ladder) {
+	ok := s.readCell(&s.cells[sh], gen, func(f *core.Ladder) {
 		if pred.Validate(f.Params().NumAttrs) != nil {
 			markTrue(out, idxs)
 			walked = 0
@@ -909,41 +812,6 @@ func markTrue(out []bool, idxs []int32) {
 	}
 	for _, i := range idxs {
 		out[i] = true
-	}
-}
-
-// queryKeyShardGroup answers one shard's span of a key-membership batch
-// in one seqlock read section.
-func (s *ShardedFilter) queryKeyShardGroup(sh int, idxs []int32, keys []uint64,
-	out []bool, gen uint64, stale *atomic.Bool, tr *trace.Req) {
-	c := &s.cells[sh]
-	if tr == nil {
-		ok := s.readCell(c, gen, func(f *core.Ladder) {
-			f.ContainsBatchIdx(out, keys, idxs)
-		}, nil)
-		if !ok {
-			stale.Store(true)
-		}
-		return
-	}
-	sp := tr.Start(trace.PhaseShardProbe)
-	var pc probeCount
-	var walked int
-	ok := s.readCell(c, gen, func(f *core.Ladder) {
-		walked = f.ContainsBatchIdxWalk(out, keys, idxs)
-	}, &pc)
-	n := len(idxs)
-	if idxs == nil {
-		n = len(keys)
-	}
-	sp.Attr(trace.AttrShard, int64(sh)).
-		Attr(trace.AttrKeys, int64(n)).
-		Attr(trace.AttrSeqlockRetries, int64(pc.retries)).
-		Attr(trace.AttrSeqlockFallback, int64(pc.fallbacks)).
-		Attr(trace.AttrLevels, int64(walked)).
-		End()
-	if !ok {
-		stale.Store(true)
 	}
 }
 

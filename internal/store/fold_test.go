@@ -46,7 +46,7 @@ func insertAll(t *testing.T, fl *Filter, keys []uint64, attrs [][]uint64) {
 
 func checkAllPresent(t *testing.T, sf *shard.ShardedFilter, keys []uint64) {
 	t.Helper()
-	out := sf.QueryKeyBatchInto(nil, keys)
+	out := sf.QueryBatchInto(nil, keys, nil)
 	for i := range out {
 		if !out[i] {
 			t.Fatalf("false negative for key %d", keys[i])

@@ -601,12 +601,14 @@ const (
 	KindDegraded                   // 503: store degraded, writes rejected
 	KindDeadline                   // 504: request deadline exceeded
 	KindUnsupported                // 400: opcode not valid here
+	KindNotReady                   // 503: boot recovery still running
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"internal", "bad_frame", "bad_request", "not_found", "too_large",
 	"rate_limited", "overloaded", "degraded", "deadline", "unsupported",
+	"not_ready",
 }
 
 // String names the kind (snake_case, stable — clients may switch on it).
