@@ -114,6 +114,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"sync"
 	"syscall"
 	"time"
 
@@ -314,6 +315,40 @@ func startPprof(addr string) (*http.Server, string, error) {
 	return srv, ln.Addr().String(), nil
 }
 
+// spareConns closes, once a drain starts, every HTTP connection that has
+// not yet delivered a request byte. net/http's Shutdown counts such a
+// connection as busy for its first five seconds, so a client's pre-dialed
+// spare socket would hold the drain past its grace period. It carries no
+// request, so closing it cuts off nothing the daemon has acked.
+type spareConns struct {
+	mu       sync.Mutex
+	draining bool
+	fresh    map[net.Conn]struct{}
+}
+
+func (s *spareConns) track(c net.Conn, st http.ConnState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case st != http.StateNew:
+		delete(s.fresh, c)
+	case s.draining:
+		c.Close()
+	default:
+		s.fresh[c] = struct{}{}
+	}
+}
+
+func (s *spareConns) drain() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.draining = true
+	for c := range s.fresh {
+		c.Close()
+	}
+	clear(s.fresh)
+}
+
 // disabledToNeg maps the flag convention "0 disables" onto the store's
 // "negative disables, 0 means default".
 func disabledToNeg[T int | int64](v T) T {
@@ -458,6 +493,8 @@ func serveUntilDone(ctx context.Context, ln net.Listener, cfg serveConfig) error
 		WriteTimeout:      2 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
+	spares := spareConns{fresh: map[net.Conn]struct{}{}}
+	srv.ConnState = spares.track
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -546,6 +583,7 @@ func serveUntilDone(ctx context.Context, ln net.Listener, cfg serveConfig) error
 			logger.Warn("wire listener", "err", err.Error())
 		}
 	}
+	spares.drain()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		if st != nil {
 			st.Close()

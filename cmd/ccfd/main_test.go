@@ -152,6 +152,31 @@ func TestDaemonServesConcurrentBatches(t *testing.T) {
 	}
 }
 
+// TestShutdownClosesSpareConnections pins the drain against a client
+// holding a connection it has dialed but not yet sent a request on, as
+// http.Transport does when an idle connection frees up mid-dial: the
+// graceful stop must close it and finish well inside its grace period.
+func TestShutdownClosesSpareConnections(t *testing.T) {
+	url, shutdown := startDaemon(t, serveConfig{})
+	c, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	time.Sleep(50 * time.Millisecond) // let the server accept it
+	start := time.Now()
+	if err := shutdown(); err != nil {
+		t.Fatalf("graceful shutdown: %v", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("shutdown took %v with a spare connection open", d)
+	}
+	c.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := c.Read(make([]byte, 1)); err == nil {
+		t.Fatal("spare connection still open after shutdown")
+	}
+}
+
 // TestPprofEndpoint covers the -pprof-addr satellite: the profiling
 // handlers come up on their own listener and answer, and closing the
 // listener tears them down.

@@ -54,6 +54,26 @@ func TestQueryBatchIntoSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestQueryKeyBatchIntoSteadyStateZeroAlloc: key membership (the empty
+// predicate) through the one batch entry point, untraced and without a
+// deadline, on the single-shard fast path and the grouped path.
+func TestQueryKeyBatchIntoSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; alloc counts are meaningless")
+	}
+	for _, shards := range []int{1, 4} {
+		s, keys := loadedSharded(t, shards)
+		batch := keys[:1024]
+		dst := make([]bool, 0, len(batch))
+		dst, _ = s.QueryBatchContext(nil, dst, batch, nil, nil) // warm the scratch pools
+		if n := testing.AllocsPerRun(200, func() {
+			dst, _ = s.QueryBatchContext(nil, dst[:0], batch, nil, nil)
+		}); n != 0 {
+			t.Errorf("shards=%d: key-only QueryBatchContext allocates %.2f allocs/op, want 0", shards, n)
+		}
+	}
+}
+
 // TestContendedMixSteadyStateZeroAlloc pins the contended serving shape:
 // a client interleaving batched probes with batched inserts (the bench
 // harness's 95/5 read/write mix) must stay allocation-free in steady
@@ -304,6 +324,29 @@ func TestQueryBatchTracedZeroAlloc(t *testing.T) {
 				t.Errorf("%s: traced QueryBatch allocates %.2f allocs/op, want 0", mode.name, n)
 			}
 		})
+	}
+}
+
+// TestQueryKeyBatchTracedZeroAlloc: same guard for key membership traced
+// into a sampled recorder.
+func TestQueryKeyBatchTracedZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; alloc counts are meaningless")
+	}
+	tr := trace.New(trace.Options{SampleEvery: 1, Recorder: trace.NewRecorder(4, 4)})
+	s, keys := loadedSharded(t, 4)
+	batch := keys[:1024]
+	dst := make([]bool, 0, len(batch))
+	run := func() {
+		r := tr.StartRequest("")
+		dst, _ = s.QueryBatchContext(nil, dst[:0], batch, nil, r)
+		tr.Finish(r, 200)
+	}
+	for i := 0; i < 16; i++ {
+		run()
+	}
+	if n := testing.AllocsPerRun(200, run); n != 0 {
+		t.Errorf("traced key-only QueryBatchContext allocates %.2f allocs/op, want 0", n)
 	}
 }
 
