@@ -13,7 +13,14 @@ import (
 
 func loadedFilter(t testing.TB, v Variant) *Filter {
 	t.Helper()
-	f, err := New(Params{Variant: v, NumAttrs: 2, Capacity: 1 << 14, BloomBits: 24, Seed: 42})
+	return loadedFilterBits(t, v, 0)
+}
+
+// loadedFilterBits is loadedFilter with AttrBits set (0 = the default).
+func loadedFilterBits(t testing.TB, v Variant, attrBits int) *Filter {
+	t.Helper()
+	f, err := New(Params{Variant: v, NumAttrs: 2, Capacity: 1 << 14, BloomBits: 24,
+		AttrBits: attrBits, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,6 +31,12 @@ func loadedFilter(t testing.TB, v Variant) *Filter {
 	}
 	return f
 }
+
+// wideInList, probed on an AttrBits-16 filter, needs the largest compiled
+// predicate scratch: an 8 KiB bitmap per attribute plus the intersection
+// scratch its repeated attribute uses, with in-lists mixing exact values
+// and hashed ones above 2^16.
+var wideInList = And(In(0, 3, 5, 9, 1<<40), In(1, 2, 6, 70000), In(0, 3, 9, 1<<40))
 
 func TestQuerySteadyStateZeroAlloc(t *testing.T) {
 	for _, v := range allVariants() {
@@ -95,6 +108,13 @@ func TestQueryBatchSteadyStateZeroAlloc(t *testing.T) {
 			}); n != 0 {
 				t.Errorf("%s: QueryBatchInto allocates %.2f allocs/op, want 0", v, n)
 			}
+			wide := loadedFilterBits(t, v, 16)
+			dst = wide.QueryBatchInto(dst[:0], keys, wideInList)
+			if n := testing.AllocsPerRun(100, func() {
+				dst = wide.QueryBatchInto(dst[:0], keys, wideInList)
+			}); n != 0 {
+				t.Errorf("%s: AttrBits-16 in-list QueryBatchInto allocates %.2f allocs/op, want 0", v, n)
+			}
 			if n := testing.AllocsPerRun(100, func() {
 				dst = f.ContainsBatchInto(dst[:0], keys)
 			}); n != 0 {
@@ -161,10 +181,10 @@ func TestQueryBatchEngineEquivalence(t *testing.T) {
 // loadedLadder builds a deliberately undersized ladder that has grown to
 // several levels — the elastic-capacity steady state the batch probes
 // must stay allocation-free in.
-func loadedLadder(t testing.TB) (*Ladder, []uint64) {
+func loadedLadder(t testing.TB, attrBits int) (*Ladder, []uint64) {
 	t.Helper()
-	l, err := NewLadder(Params{Variant: VariantChained, NumAttrs: 2, Capacity: 1 << 11, Seed: 42},
-		LadderOptions{MaxLevels: 6})
+	l, err := NewLadder(Params{Variant: VariantChained, NumAttrs: 2, Capacity: 1 << 11,
+		AttrBits: attrBits, Seed: 42}, LadderOptions{MaxLevels: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +208,7 @@ func TestLadderQueryBatchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; alloc counts are meaningless")
 	}
-	l, keys := loadedLadder(t)
+	l, keys := loadedLadder(t, 0)
 	pred := And(Eq(0, 3))
 	batch := keys[:1024]
 	out := make([]bool, 0, len(batch))
@@ -197,6 +217,13 @@ func TestLadderQueryBatchZeroAlloc(t *testing.T) {
 		out = l.QueryBatchInto(out[:0], batch, pred)
 	}); n != 0 {
 		t.Errorf("ladder QueryBatchInto allocates %.2f allocs/op, want 0", n)
+	}
+	wide, wideKeys := loadedLadder(t, 16)
+	out = wide.QueryBatchInto(out[:0], wideKeys[:1024], wideInList)
+	if n := testing.AllocsPerRun(200, func() {
+		out = wide.QueryBatchInto(out[:0], wideKeys[:1024], wideInList)
+	}); n != 0 {
+		t.Errorf("AttrBits-16 ladder QueryBatchInto with an in-list allocates %.2f allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		out = l.ContainsBatchInto(out[:0], batch)
@@ -208,7 +235,7 @@ func TestLadderQueryBatchZeroAlloc(t *testing.T) {
 // BenchmarkLadderQuery tracks the cost of probing a grown ladder (the
 // read-path tax of elastic capacity before a fold collapses it).
 func BenchmarkLadderQuery(b *testing.B) {
-	l, keys := loadedLadder(b)
+	l, keys := loadedLadder(b, 0)
 	pred := And(Eq(0, 3))
 	const batch = 1024
 	out := make([]bool, 0, batch)
@@ -283,6 +310,41 @@ func BenchmarkCoreQueryBatch(b *testing.B) {
 			}
 		})
 	}
+	// The shape ccfd's pushdown workload probes: the chained default
+	// (b = 6, d = 3), keys with up to 8 distinct rows so chains form past
+	// the first pair, two attributes, and an in-list holding a value
+	// above 2^AttrBits (hashed, not stored exactly). Half the probed keys
+	// are absent.
+	b.Run("ChainedPushdown", func(b *testing.B) {
+		f, err := New(Params{Variant: VariantChained, NumAttrs: 2, Capacity: 1 << 15, Seed: 42})
+		if err != nil {
+			b.Fatal(err)
+		}
+		const nkeys = 1 << 12
+		probe := make([]uint64, 0, 2*nkeys)
+		for k := uint64(0); k < nkeys; k++ {
+			key := k * 0x9e3779b97f4a7c15
+			for r := uint64(0); r <= k%8; r++ {
+				if err := f.Insert(key, []uint64{(k + r) % 8, []uint64{5, 300, 7, 1000}[r%4]}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			probe = append(probe, key, key+1)
+		}
+		pred := And(Eq(0, 3), In(1, 5, 300, 7))
+		const batch = 1024
+		dst := make([]bool, 0, batch)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lo := (i * batch) % len(probe)
+			dst = f.QueryBatchInto(dst[:0], probe[lo:lo+batch], pred)
+		}
+		b.StopTimer()
+		if b.Elapsed() > 0 {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/key")
+		}
+	})
 }
 
 func BenchmarkCoreQueryKey(b *testing.B) {

@@ -47,6 +47,26 @@ func wordHasLane(w uint64, fp uint16) bool {
 	return wordHasZeroLane(w ^ uint64(fp)*laneLo)
 }
 
+// laneHits returns the exact per-lane equality mask of w against the
+// fingerprint broadcast in fpw: bit j is set iff 16-bit lane j matches.
+// Adding 0x7fff to a lane's low 15 bits cannot carry into the next lane,
+// so unlike wordHasZeroLane's borrow form this zero test never
+// over-reports; one multiply then gathers the four lane indicators
+// (bits 15, 31, 47, 63) into bits 45–48 without any two partial
+// products colliding.
+func laneHits(w, fpw uint64) uint8 {
+	z := w ^ fpw
+	zero := ^((z&^laneHi + ^uint64(laneHi)) | z) & laneHi
+	return uint8((zero >> 15) * (1 | 1<<15 | 1<<30 | 1<<45) >> 45)
+}
+
+// load4 packs four consecutive fingerprints into one word, lane j =
+// s[j]; the compiler merges the loads into a single 8-byte read.
+func load4(s []uint16) uint64 {
+	_ = s[3]
+	return uint64(s[0]) | uint64(s[1])<<16 | uint64(s[2])<<32 | uint64(s[3])<<48
+}
+
 // bucketTable is the packed slot storage of a Filter. Slot idx lives in
 // bucket idx/bsz; its attribute vector occupies attrs[idx*nattr:] and its
 // sketch, if any, is arena[sketch[idx]].
@@ -117,11 +137,7 @@ func (t *bucketTable) rebuildWords() {
 		t.words = make([]uint64, len(t.fps)/packedBucketSize)
 	}
 	for i := range t.words {
-		base := i * packedBucketSize
-		t.words[i] = uint64(t.fps[base]) |
-			uint64(t.fps[base+1])<<16 |
-			uint64(t.fps[base+2])<<32 |
-			uint64(t.fps[base+3])<<48
+		t.words[i] = load4(t.fps[i*packedBucketSize:])
 	}
 }
 
@@ -145,12 +161,7 @@ func (t *bucketTable) checkWords() error {
 			len(t.words), len(t.fps))
 	}
 	for i := range t.words {
-		base := i * packedBucketSize
-		want := uint64(t.fps[base]) |
-			uint64(t.fps[base+1])<<16 |
-			uint64(t.fps[base+2])<<32 |
-			uint64(t.fps[base+3])<<48
-		if t.words[i] != want {
+		if want := load4(t.fps[i*packedBucketSize:]); t.words[i] != want {
 			return fmt.Errorf("core: word mirror of bucket %d is %#x, want %#x",
 				i, t.words[i], want)
 		}
@@ -182,6 +193,35 @@ func (t *bucketTable) bucketHasFp(bucket uint32, fp uint16) bool {
 		}
 	}
 	return false
+}
+
+// maxMaskSlots is the largest bucket size slotMask covers: its hit masks
+// are one byte per bucket.
+const maxMaskSlots = 8
+
+// slotMask returns the bucket's exact per-slot hit mask for the
+// fingerprint broadcast in fpw (bit j set iff slot j holds it). The
+// packed layout compares its word mirror; sizes 5–8 compare two
+// overlapping 4-lane windows, slots 0–3 and b−4…b−1, which stay inside
+// the bucket and OR together idempotently; sizes below 4 scan. Bucket
+// sizes above maxMaskSlots are not supported.
+func (t *bucketTable) slotMask(bucket uint32, fpw uint64) uint8 {
+	if t.words != nil {
+		return laneHits(t.words[bucket], fpw)
+	}
+	base := int(bucket) * t.bsz
+	s := t.fps[base : base+t.bsz]
+	if len(s) < packedBucketSize {
+		var m uint8
+		for j, v := range s {
+			if v == uint16(fpw) {
+				m |= 1 << j
+			}
+		}
+		return m
+	}
+	hi := len(s) - packedBucketSize
+	return laneHits(load4(s), fpw) | laneHits(load4(s[hi:]), fpw)<<hi
 }
 
 // emptySlotInBucket returns the flat index of an empty slot in bucket, or

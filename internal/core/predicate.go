@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Cond is a single-attribute condition: the attribute at index Attr must
 // equal one of Values. A single value expresses an equality predicate; a
@@ -52,6 +55,86 @@ func (f *Filter) matchVector(entryIdx int, p Predicate) bool {
 			}
 		}
 		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// compiledPred is a predicate compiled against one filter for one batch
+// probe: per constrained attribute, a bitmap over the 2^AttrBits
+// attribute fingerprints its condition's values map to under
+// attrFingerprint (so the small-value rule, DisableSmallValueOpt and a
+// compressed filter's fold all hold). A vector entry then matches with
+// one bit test per attribute instead of re-fingerprinting every value for
+// every slot that holds the key. Conditions that repeat an attribute
+// narrow its bitmap to their intersection, so the scratch is bounded by
+// the filter's NumAttrs, not by the request. It lives in the pooled
+// probeBatch, never in the filter, so concurrent readers each compile
+// their own.
+type compiledPred struct {
+	pred  Predicate // Bloom entries and converted groups match it raw
+	attrs []int     // the attributes pred constrains, each once
+	nw    int       // bitmap words per attribute
+	// bits holds attribute a's bitmap at bits[a*nw : (a+1)*nw], then nw
+	// words of scratch for intersecting a repeated attribute.
+	bits  []uint64
+	dirty []int32 // words of bits the last compile set
+}
+
+// compile prepares cp to answer pred on f. It clears only the words the
+// previous compile set, so a small batch under a wide AttrBits does not
+// pay for zeroing whole bitmaps (8 KiB each at AttrBits 16).
+func (cp *compiledPred) compile(f *Filter, pred Predicate) {
+	for _, w := range cp.dirty {
+		cp.bits[w] = 0
+	}
+	cp.dirty, cp.attrs, cp.pred = cp.dirty[:0], cp.attrs[:0], pred
+	if f.attrs == nil {
+		return // VariantBloom: no vector entries to test
+	}
+	nw := max(1, 1<<f.p.AttrBits/64)
+	cp.nw = nw
+	if n := (f.nattr + 1) * nw; len(cp.bits) < n {
+		cp.bits = make([]uint64, n)
+	}
+	tmp := cp.bits[f.nattr*nw : (f.nattr+1)*nw]
+	for _, c := range pred {
+		if !slices.Contains(cp.attrs, c.Attr) {
+			cp.attrs = append(cp.attrs, c.Attr)
+			cp.set(f, c, c.Attr*nw)
+			continue
+		}
+		// A repeated attribute: the conjunction keeps the fingerprints
+		// both conditions admit.
+		cp.set(f, c, f.nattr*nw)
+		own := cp.bits[c.Attr*nw : (c.Attr+1)*nw]
+		for w := range own {
+			own[w] &= tmp[w]
+		}
+		clear(tmp)
+	}
+}
+
+// set sets the bits of c's value fingerprints in the bitmap at word off.
+func (cp *compiledPred) set(f *Filter, c Cond, off int) {
+	for _, v := range c.Values {
+		a := f.attrFingerprint(c.Attr, v)
+		w := off + int(a/64)
+		if cp.bits[w] == 0 {
+			cp.dirty = append(cp.dirty, int32(w))
+		}
+		cp.bits[w] |= 1 << (a % 64)
+	}
+}
+
+// matchVector is Filter.matchVector against the compiled bitmaps; vec is
+// the entry's attribute vector. A stored fingerprint outside the bitmap
+// (only a corrupt snapshot holds one) equals no value's fingerprint.
+func (cp *compiledPred) matchVector(vec []uint16) bool {
+	for _, a := range cp.attrs {
+		x := int(vec[a])
+		if x/64 >= cp.nw || cp.bits[a*cp.nw+x/64]&(1<<(x%64)) == 0 {
 			return false
 		}
 	}

@@ -1,7 +1,5 @@
 package core
 
-import "math/bits"
-
 // Query reports whether the filter may contain a row with the given key
 // whose attributes satisfy pred (Algorithm 1). A nil or empty predicate is
 // a key-only query. Query never returns a false negative: if a matching row
@@ -32,14 +30,15 @@ func (f *Filter) QueryErr(key uint64, pred Predicate) (bool, error) {
 // the per-key path is just hashing and bucket probes. pred must already
 // have passed Predicate.Validate for this filter's NumAttrs.
 func (f *Filter) QueryUnchecked(key uint64, pred Predicate) bool {
-	fp := f.fingerprint(key)
-	home := f.homeBucket(key)
-	switch f.p.Variant {
-	case VariantChained:
+	return f.queryFp(f.fingerprint(key), f.homeBucket(key), pred)
+}
+
+// queryFp is the scalar probe of a hashed key: κ and its home bucket.
+func (f *Filter) queryFp(fp uint16, home uint32, pred Predicate) bool {
+	if f.p.Variant == VariantChained {
 		return f.queryChained(fp, home, pred)
-	default:
-		return f.queryPair(fp, home, pred)
 	}
+	return f.queryPair(fp, home, pred)
 }
 
 // QueryKey reports whether any row with the key may be present. For every
@@ -63,31 +62,9 @@ func (f *Filter) bucketMatch(bucket uint32, fp uint16, pred Predicate) bool {
 	if !f.bucketMayContain(bucket, fp) {
 		return false
 	}
-	return f.bucketMatchSlots(bucket, fp, pred)
-}
-
-// bucketMatchSlots is the slot-level half of bucketMatch: callers that
-// already ran the word pre-test (the batch pipeline) skip straight to it.
-func (f *Filter) bucketMatchSlots(bucket uint32, fp uint16, pred Predicate) bool {
 	base := int(bucket) * f.bsz
 	for j := 0; j < f.bsz; j++ {
 		if f.fps[base+j] == fp && f.entryMatches(base+j, pred) {
-			return true
-		}
-	}
-	return false
-}
-
-// matchLanes resolves a packed bucket from the compare kernel's exact
-// per-lane hit mask: bit j set means slot j holds the probed fingerprint,
-// so the resolver jumps straight to each flagged slot's predicate check
-// without re-reading any fingerprint the word compare already matched.
-func (f *Filter) matchLanes(bucket uint32, lanes uint8, pred Predicate) bool {
-	base := int(bucket) * packedBucketSize
-	for lanes != 0 {
-		j := bits.TrailingZeros8(lanes)
-		lanes &= lanes - 1
-		if f.entryMatches(base+j, pred) {
 			return true
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 
 	"ccf/internal/hashing"
@@ -25,14 +26,22 @@ import (
 //	          its cache misses concurrently instead of sequentially
 //	phase 2   compare the preloaded words against each key's broadcast
 //	          fingerprint, 16 lanes (4 buckets) per 256-bit op, yielding
-//	          an exact per-lane hit mask; only keys with a set bit (rare
-//	          for negative probes) descend to slot-level checks, and the
-//	          mask tells them exactly which slots
+//	          an exact per-slot hit mask per bucket; only keys with a set
+//	          bit (rare for negative probes) descend to slot-level
+//	          checks, and the mask tells them exactly which slots
 //
 // The same phase structure batches lookups in Cuckoo-GPU and the
 // memory-level-parallel hash-probe literature. Bucket layouts without the
-// b=4 packed word mirror keep the split but phase 1b degrades to touch
-// loads that warm the bucket's cache line for phase 2's scalar scan.
+// b=4 packed word mirror (the chained default is b = 6) build the same
+// exact masks from fps with SWAR compares (slotMask) as the loads land,
+// which keeps the loads independent across keys. Bucket sizes above
+// maxMaskSlots run the scalar probe per key.
+//
+// Before the first tile the predicate is compiled once for the whole
+// batch (compiledPred). Phase 2 then ends a key in its first pair when
+// the pair holds no copy of κ, holds a matching entry, or (chained)
+// holds fewer than d copies; only a full, unmatched chained pair walks
+// on to pair 2 (Algorithm 5).
 
 // probeTile is the batch pipeline's tile size: large enough to keep many
 // misses in flight, small enough that the scratch stays L1/L2-resident
@@ -46,8 +55,10 @@ const probeTile = 256
 // simd kernels stream through: keys (scatter mode compacts the tile's
 // keys here so the hash kernel always sees a contiguous run), fpw (each
 // fingerprint broadcast into all four 16-bit lanes, the compare kernel's
-// probe operand), and hits (phase 2's per-key lane masks: low nibble =
-// home-bucket lanes equal to the fingerprint, high nibble = alt bucket).
+// probe operand), hits (the packed compare kernel's per-key lane masks:
+// low nibble = home-bucket lanes equal to the fingerprint, high nibble =
+// alt bucket), and m1/m2 (the per-slot hit masks of the home and alt
+// bucket for every layout). cp is the batch's compiled predicate.
 type probeBatch struct {
 	keys [probeTile]uint64
 	fp   [probeTile]uint16
@@ -57,6 +68,9 @@ type probeBatch struct {
 	w1   [probeTile]uint64
 	w2   [probeTile]uint64
 	hits [probeTile]uint8
+	m1   [probeTile]uint8
+	m2   [probeTile]uint8
+	cp   compiledPred
 }
 
 var probePool = sync.Pool{New: func() any { return new(probeBatch) }}
@@ -100,13 +114,14 @@ func (f *Filter) ContainsBatchInto(dst []bool, keys []uint64) []bool {
 // per group). out must be at least as long as keys.
 func (f *Filter) QueryBatchIdx(out []bool, keys []uint64, idxs []int32, pred Predicate) {
 	pb := probePool.Get().(*probeBatch)
+	pb.cp.compile(f, pred)
 	n := tileCount(keys, idxs)
 	for base := 0; base < n; base += probeTile {
 		t := min(probeTile, n-base)
 		ti := sliceIdx(idxs, base, t)
 		f.hashTile(pb, keys, ti, base, t)
-		f.gatherTile(pb, t)
-		f.queryTile(pb, out, ti, base, t, pred)
+		f.maskTile(pb, t)
+		f.queryTile(pb, out, ti, base, t)
 	}
 	probePool.Put(pb)
 }
@@ -120,7 +135,7 @@ func (f *Filter) ContainsBatchIdx(out []bool, keys []uint64, idxs []int32) {
 		t := min(probeTile, n-base)
 		ti := sliceIdx(idxs, base, t)
 		f.hashTile(pb, keys, ti, base, t)
-		f.gatherTile(pb, t)
+		f.maskTile(pb, t)
 		f.containsTile(pb, out, ti, base, t)
 	}
 	probePool.Put(pb)
@@ -170,97 +185,129 @@ func (f *Filter) hashTile(pb *probeBatch, keys []uint64, ti []int32, base, t int
 		pb.fp[:], pb.fpw[:], pb.l1[:], pb.l2[:], t)
 }
 
-// gatherTile is phase 1b: load both bucket words for every key back to
-// back. Each load depends only on phase 1a's indexes, never on another
-// load, so the out-of-order core overlaps the misses across the whole
-// tile; the hardware kernels additionally issue prefetches a fixed
-// distance ahead, keeping more lines in flight than the reorder window
-// alone could. Without the packed mirror the loads touch the bucket's
-// first fingerprint instead — not a usable compare value, but it pulls
-// the bucket's cache line in, which is all phase 2's scalar scan needs.
-func (f *Filter) gatherTile(pb *probeBatch, t int) {
-	if f.words != nil {
+// maskTile is phase 1b and the compare of phase 2: the exact per-slot hit
+// masks of both candidate buckets for every key of the tile. The packed
+// layout gathers both bucket words back to back (each load depends only
+// on phase 1a's indexes, never on another load, so the out-of-order core
+// overlaps the misses across the tile, and the hardware kernels prefetch
+// a fixed distance ahead), then splits the CompareHits kernel's hit
+// byte. Other layouts up to maxMaskSlots compare fps in place; their
+// loads are just as independent. Larger buckets get no masks: their
+// resolvers scan.
+func (f *Filter) maskTile(pb *probeBatch, t int) {
+	switch {
+	case f.words != nil:
 		simd.GatherWords(f.words, pb.l1[:], pb.l2[:], pb.w1[:], pb.w2[:], t)
-		return
-	}
-	bsz := f.bsz
-	for i := 0; i < t; i++ {
-		pb.w1[i] = uint64(f.fps[int(pb.l1[i])*bsz])
-		pb.w2[i] = uint64(f.fps[int(pb.l2[i])*bsz])
+		simd.CompareHits(pb.hits[:], pb.w1[:], pb.w2[:], pb.fpw[:], t)
+		for i := 0; i < t; i++ {
+			pb.m1[i], pb.m2[i] = pb.hits[i]&0x0f, pb.hits[i]>>4
+		}
+	case f.bsz <= maxMaskSlots:
+		for i := 0; i < t; i++ {
+			pb.m1[i] = f.slotMask(pb.l1[i], pb.fpw[i])
+			pb.m2[i] = f.slotMask(pb.l2[i], pb.fpw[i])
+		}
 	}
 }
 
-// queryTile is phase 2 of the predicate probe: resolve every key of the
-// tile. For the packed layout the CompareHits kernel has already reduced
-// both candidate buckets to one hit byte per key; a zero byte resolves
-// the key with no slot-array access at all, and a nonzero one hands
-// matchLanes the exact slots to check, so the resolver never re-reads
-// fingerprints the compare already matched. The variant dispatch is
-// hoisted out of the per-key loop.
-func (f *Filter) queryTile(pb *probeBatch, out []bool, ti []int32, base, t int, pred Predicate) {
-	chained := f.p.Variant == VariantChained
-	if f.words != nil {
-		simd.CompareHits(pb.hits[:], pb.w1[:], pb.w2[:], pb.fpw[:], t)
+// outIdx maps tile position i to its result index.
+func outIdx(ti []int32, base, i int) int {
+	if ti != nil {
+		return int(ti[i])
+	}
+	return base + i
+}
+
+// queryTile is the rest of phase 2 for the predicate probe: it settles
+// every key of the tile from its first pair's hit masks. An empty mask
+// pair resolves the key with no slot-array access at all (false for
+// every variant: a chained walk with 0 < d copies ends at its first
+// pair); otherwise the masks name exactly the slots to test against the
+// compiled predicate.
+func (f *Filter) queryTile(pb *probeBatch, out []bool, ti []int32, base, t int) {
+	if f.bsz > maxMaskSlots {
 		for i := 0; i < t; i++ {
-			oi := base + i
-			if ti != nil {
-				oi = int(ti[i])
-			}
-			hits := pb.hits[i]
-			if hits == 0 {
-				// No copy of κ anywhere in the first pair: false for the
-				// pair variants, and count 0 < MaxDupes (≥ 1) terminates a
-				// chained walk at its first pair with false.
-				out[oi] = false
-				continue
-			}
-			if chained {
-				out[oi] = f.queryChained(pb.fp[i], pb.l1[i], pred)
-				continue
-			}
-			out[oi] = f.matchLanes(pb.l1[i], hits&0x0f, pred) ||
-				pb.l2[i] != pb.l1[i] && f.matchLanes(pb.l2[i], hits>>4, pred)
+			out[outIdx(ti, base, i)] = f.queryFp(pb.fp[i], pb.l1[i], pb.cp.pred)
 		}
 		return
 	}
 	for i := 0; i < t; i++ {
-		oi := base + i
-		if ti != nil {
-			oi = int(ti[i])
-		}
-		fp, l1, l2 := pb.fp[i], pb.l1[i], pb.l2[i]
-		if chained {
-			out[oi] = f.queryChained(fp, l1, pred)
+		oi := outIdx(ti, base, i)
+		if pb.m1[i]|pb.m2[i] == 0 {
+			out[oi] = false
 			continue
 		}
-		out[oi] = f.bucketMatchSlots(l1, fp, pred) ||
-			l2 != l1 && f.bucketMatchSlots(l2, fp, pred)
+		ans, done := f.settlePair(pb.l1[i], pb.l2[i], pb.m1[i], pb.m2[i], &pb.cp)
+		if !done {
+			ans = f.walkChain(pb.fp[i], pb.l1[i], &pb.cp)
+		}
+		out[oi] = ans
 	}
 }
 
-// containsTile is phase 2 of the key-only probe: for the packed layout the
-// compare kernel's hit byte is the whole answer (QueryKey semantics —
-// every variant keeps its key evidence in the first bucket pair, Lemma 2).
-// When the pair degenerates to one bucket the high nibble duplicates the
-// low, which changes nothing about the any-bit test.
-func (f *Filter) containsTile(pb *probeBatch, out []bool, ti []int32, base, t int) {
-	if f.words != nil {
-		simd.CompareHits(pb.hits[:], pb.w1[:], pb.w2[:], pb.fpw[:], t)
-		for i := 0; i < t; i++ {
-			oi := base + i
-			if ti != nil {
-				oi = int(ti[i])
+// settlePair is one pair step of the batch probe, from the pair's slot
+// masks: a satisfying entry answers true; otherwise the pair variants
+// answer false, and a chained key answers false unless the pair holds d
+// copies of κ, in which case done is false and the walk moves on to the
+// next pair (Algorithm 5).
+func (f *Filter) settlePair(l1, l2 uint32, m1, m2 uint8, cp *compiledPred) (ans, done bool) {
+	if l2 == l1 {
+		m2 = 0 // a degenerate pair counts each slot once
+	}
+	if f.slotsMatch(l1, m1, cp) || f.slotsMatch(l2, m2, cp) {
+		return true, true
+	}
+	return false, f.p.Variant != VariantChained ||
+		bits.OnesCount8(m1)+bits.OnesCount8(m2) < f.p.MaxDupes
+}
+
+// walkChain continues a chained key's walk past a full, unmatched first
+// pair; exhausting the chain budget answers true, as in queryChained.
+func (f *Filter) walkChain(fp uint16, home uint32, cp *compiledPred) bool {
+	var seq chainSeq
+	f.initChainSeq(&seq, fp, home)
+	fpw := uint64(fp) * laneLo
+	for seq.advance() {
+		l1, l2 := seq.buckets()
+		if ans, done := f.settlePair(l1, l2, f.slotMask(l1, fpw), f.slotMask(l2, fpw), cp); done {
+			return ans
+		}
+	}
+	return true
+}
+
+// slotsMatch reports whether any slot of the bucket flagged in mask
+// satisfies the compiled predicate. Live vector entries test the bitmaps;
+// every other entry (tombstoned, Bloom, converted group) goes through
+// entryMatches and the raw predicate.
+func (f *Filter) slotsMatch(bucket uint32, mask uint8, cp *compiledPred) bool {
+	base := int(bucket) * f.bsz
+	for mask != 0 {
+		idx := base + bits.TrailingZeros8(mask)
+		mask &= mask - 1
+		if f.attrs != nil && f.flags[idx]&(flagTombstone|flagConverted) == 0 {
+			if cp.matchVector(f.attrs[idx*f.nattr : (idx+1)*f.nattr]) {
+				return true
 			}
-			out[oi] = pb.hits[i] != 0
+		} else if f.entryMatches(idx, cp.pred) {
+			return true
+		}
+	}
+	return false
+}
+
+// containsTile is the rest of phase 2 for the key-only probe: any hit in
+// either mask is the whole answer (QueryKey semantics — every variant
+// keeps its key evidence in the first bucket pair, Lemma 2).
+func (f *Filter) containsTile(pb *probeBatch, out []bool, ti []int32, base, t int) {
+	if f.bsz > maxMaskSlots {
+		for i := 0; i < t; i++ {
+			fp, l1, l2 := pb.fp[i], pb.l1[i], pb.l2[i]
+			out[outIdx(ti, base, i)] = f.bucketHasFp(l1, fp) || l2 != l1 && f.bucketHasFp(l2, fp)
 		}
 		return
 	}
 	for i := 0; i < t; i++ {
-		oi := base + i
-		if ti != nil {
-			oi = int(ti[i])
-		}
-		fp, l1, l2 := pb.fp[i], pb.l1[i], pb.l2[i]
-		out[oi] = f.bucketHasFp(l1, fp) || l2 != l1 && f.bucketHasFp(l2, fp)
+		out[outIdx(ti, base, i)] = pb.m1[i]|pb.m2[i] != 0
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -9,15 +10,20 @@ import (
 // the same algorithm with its memory accesses rescheduled. These tests
 // differential-check QueryBatchInto/ContainsBatchInto (and their indexed
 // forms) against Query/QueryKey over every variant, both bucket layouts
-// (packed b=4 and the scalar-fallback b=6 the chained default uses), with
+// (packed b=4 and the fps-mask b=6 the chained default uses), with
 // duplicate-heavy rows so chains and conversions actually occur.
 
 func batchTestFilter(t *testing.T, v Variant, bucketSize int) (*Filter, []uint64) {
 	t.Helper()
-	f := mustFilter(t, Params{
-		Variant: v, NumAttrs: 2, Capacity: 1 << 12, BucketSize: bucketSize,
-		BloomBits: 24, Seed: 77,
-	})
+	return loadBatchFilter(t, Params{Variant: v, BucketSize: bucketSize, BloomBits: 24})
+}
+
+// loadBatchFilter builds a two-attribute filter under p and loads it
+// with the duplicate-heavy rows.
+func loadBatchFilter(t *testing.T, p Params) (*Filter, []uint64) {
+	t.Helper()
+	p.NumAttrs, p.Capacity, p.Seed = 2, 1<<12, 77
+	f := mustFilter(t, p)
 	rng := rand.New(rand.NewSource(101))
 	keys := make([]uint64, 1<<11)
 	for i := range keys {
@@ -31,7 +37,7 @@ func batchTestFilter(t *testing.T, v Variant, bucketSize int) (*Filter, []uint64
 		// ErrFull/ErrChainLimit are expected under this skew for Plain
 		// (Figure 4); the differential check only needs a loaded filter.
 		if err := f.Insert(keys[i], []uint64{uint64(i % 9), uint64(i % 5)}); err == ErrAttrCount {
-			t.Fatalf("%s insert %d: %v", v, i, err)
+			t.Fatalf("%s insert %d: %v", p.Variant, i, err)
 		}
 	}
 	return f, keys
@@ -58,32 +64,48 @@ func TestQueryBatchMatchesScalar(t *testing.T) {
 		And(In(1, 0, 1, 2, 3, 4)),
 		And(Eq(0, 1<<40)), // above small-value range: fingerprinted
 	}
-	for _, v := range allVariants() {
-		for _, bsz := range []int{4, 6} {
-			f, keys := batchTestFilter(t, v, bsz)
-			probe := batchProbeKeys(keys)
-			for pi, pred := range preds {
-				want := make([]bool, len(probe))
-				for i, k := range probe {
-					want[i] = f.Query(k, pred)
+	check := func(name string, f *Filter, keys []uint64) {
+		t.Helper()
+		probe := batchProbeKeys(keys)
+		for pi, pred := range preds {
+			want := make([]bool, len(probe))
+			for i, k := range probe {
+				want[i] = f.Query(k, pred)
+			}
+			got := f.QueryBatchInto(nil, probe, pred)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s pred#%d key[%d]: batch=%v scalar=%v",
+						name, pi, i, got[i], want[i])
 				}
-				got := f.QueryBatchInto(nil, probe, pred)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s b=%d pred#%d key[%d]: batch=%v scalar=%v",
-							v, bsz, pi, i, got[i], want[i])
-					}
-				}
-				// Recycled-buffer path must behave identically.
-				got = f.QueryBatchInto(got[:0], probe, pred)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s b=%d pred#%d key[%d] (recycled): batch=%v scalar=%v",
-							v, bsz, pi, i, got[i], want[i])
-					}
+			}
+			// Recycled-buffer path must behave identically.
+			got = f.QueryBatchInto(got[:0], probe, pred)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s pred#%d key[%d] (recycled): batch=%v scalar=%v",
+						name, pi, i, got[i], want[i])
 				}
 			}
 		}
+	}
+	for _, bsz := range []int{4, 6} {
+		for _, v := range allVariants() {
+			f, keys := batchTestFilter(t, v, bsz)
+			check(fmt.Sprintf("%s b=%d", v, bsz), f, keys)
+		}
+		// The compiled predicate fingerprints values as the filter does:
+		// a compressed filter folds its wide fingerprints (§9), and
+		// DisableSmallValueOpt hashes even small values.
+		wide, keys := loadBatchFilter(t, Params{Variant: VariantChained, BucketSize: bsz, AttrBits: 16})
+		comp, err := wide.CompressAttributes(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("compressed b=%d", bsz), comp, keys)
+		f, keys := loadBatchFilter(t, Params{Variant: VariantChained, BucketSize: bsz, AttrBits: 4,
+			DisableSmallValueOpt: true})
+		check(fmt.Sprintf("no-small-value b=%d", bsz), f, keys)
 	}
 }
 

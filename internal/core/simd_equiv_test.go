@@ -4,38 +4,63 @@ import "testing"
 
 // FuzzSIMDEquivalence differential-fuzzes the vectorized batch probe
 // pipeline against the scalar point path. The batch entry points run the
-// internal/simd kernels (AVX2/NEON where detected); Query, QueryKey and
-// queryChained never do — so any kernel that diverges from the scalar
-// reference semantics (hash derivation, word compare, per-lane hit masks)
-// shows up as a batch/point mismatch. The tape drives table shape too:
-// BucketSize 4 exercises the packed word-mirror kernels, 2 and 8 the
-// non-packed fallback tiles, and direct tombstoning exercises the
-// resolver's flagged-slot handling against entryMatches.
+// internal/simd kernels (AVX2/NEON where detected), compile the predicate
+// into per-attribute bitmaps and settle each key's first pair from slot
+// hit masks; Query, QueryKey and queryChained do none of that — so any
+// kernel, mask or compiled-predicate step that diverges from the scalar
+// reference semantics shows up as a batch/point mismatch. The tape drives
+// table shape too: BucketSize 4 exercises the packed word-mirror kernels,
+// 2, 3, 6 and 8 the fps masks (6 with d = 3 is the chained default ccfd
+// serves), 12 the scalar per-key fallback above maxMaskSlots; AttrBits 16
+// needs the widest compiled bitmaps and 3 makes most values hashed.
+// Direct tombstoning exercises the resolver's flagged-slot handling
+// against entryMatches.
 func FuzzSIMDEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(0), uint8(1))
 	f.Add([]byte{0xff, 0x80, 0x01, 0x10, 0x20, 0x30}, uint8(1), uint8(0))
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7}, uint8(2), uint8(4))
 	f.Add([]byte{0, 0, 1, 1, 2, 2, 3, 3, 4, 4}, uint8(3), uint8(7))
 	f.Add([]byte{}, uint8(0), uint8(2))
+	f.Add([]byte{9, 0x85, 9, 0x93, 9, 0xa5, 9, 0x05, 9, 0x16, 3, 0x85}, uint8(5), uint8(3))
+	f.Add([]byte{0x85, 1, 0x85, 0x81, 0x85, 0x91, 0x85, 0xc1, 2, 0x81}, uint8(1), uint8(21))
 	f.Fuzz(func(t *testing.T, tape []byte, variantSel, shapeSel uint8) {
 		variant := []Variant{VariantPlain, VariantChained, VariantBloom, VariantMixed}[variantSel%4]
-		bsz := []int{4, 2, 8}[shapeSel%3]
-		keyBits := []int{16, 8, 12}[int(shapeSel/3)%3]
+		bsz := []int{4, 2, 8, 6, 3, 12}[shapeSel%6]
+		keyBits := []int{16, 8, 12}[int(shapeSel/6)%3]
+		attrBits := []int{8, 16, 3}[int(shapeSel/18)%3]
+		nattr := 1 + int(variantSel/4)%2
 		params := Params{
-			Variant: variant, NumAttrs: 1, Capacity: 1024, BloomBits: 24,
-			BucketSize: bsz, KeyBits: keyBits, Seed: 11,
+			Variant: variant, NumAttrs: nattr, Capacity: 1024, BloomBits: 24,
+			BucketSize: bsz, KeyBits: keyBits, AttrBits: attrBits, Seed: 11,
 		}
 		if variant == VariantChained {
 			params.MaxDupes = 1
+			if bsz == 6 {
+				params.MaxDupes = 3
+			}
 		}
 		filt, err := New(params)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// attr maps a tape byte to an attribute value: the low nibble, moved
+		// above every AttrBits' small-value range when the high bit is set,
+		// so some stored fingerprints are exact and some hashed.
+		attr := func(b byte) uint64 {
+			v := uint64(b % 16)
+			if b&0x80 != 0 {
+				v |= 1 << 20
+			}
+			return v
+		}
+		row := make([]uint64, nattr)
 		for i := 0; i+1 < len(tape); i += 2 {
 			k := uint64(tape[i]) % 128
-			a := uint64(tape[i+1]) % 16
-			if err := filt.Insert(k, []uint64{a}); err != nil &&
+			row[0] = attr(tape[i+1])
+			if nattr == 2 {
+				row[1] = uint64(tape[i+1]>>4) % 4
+			}
+			if err := filt.Insert(k, row); err != nil &&
 				err != ErrFull && err != ErrChainLimit {
 				t.Fatal(err)
 			}
@@ -58,16 +83,27 @@ func FuzzSIMDEquivalence(f *testing.F) {
 		for k := uint64(0); k < 160; k++ {
 			keys = append(keys, k, k*0x9e3779b97f4a7c15)
 		}
-		var av uint64
+		var v0, v1 uint64
 		if len(tape) > 0 {
-			av = uint64(tape[0]) % 16
+			v0, v1 = attr(tape[0]), attr(tape[len(tape)-1])
 		}
-		for _, pred := range []Predicate{nil, And(Eq(0, av))} {
+		preds := []Predicate{
+			nil,
+			And(Eq(0, v0)),
+			// An in-list mixing exact and hashed values.
+			And(In(0, v0, v0^1<<20, v1, 1<<40)),
+			// A repeated attribute: the conjunction of both conditions.
+			And(In(0, v0, v1), Eq(0, v1)),
+		}
+		if nattr == 2 {
+			preds = append(preds, And(Eq(0, v1), In(1, 0, 2, v0)))
+		}
+		for _, pred := range preds {
 			got := filt.QueryBatchInto(nil, keys, pred)
 			for i, k := range keys {
 				if want := filt.Query(k, pred); got[i] != want {
-					t.Fatalf("%s b=%d kb=%d: QueryBatch(key %#x) = %v, point Query = %v",
-						variant, bsz, keyBits, k, got[i], want)
+					t.Fatalf("%s b=%d kb=%d ab=%d pred=%v: QueryBatch(key %#x) = %v, point Query = %v",
+						variant, bsz, keyBits, attrBits, pred, k, got[i], want)
 				}
 			}
 			// Scatter form, reversed order, holes left untouched.
@@ -81,8 +117,8 @@ func FuzzSIMDEquivalence(f *testing.F) {
 			filt.QueryBatchIdx(out, keys, idxs, pred)
 			for _, i := range idxs {
 				if want := filt.Query(keys[i], pred); out[i] != want {
-					t.Fatalf("%s b=%d: QueryBatchIdx(key %#x) = %v, point Query = %v",
-						variant, bsz, keys[i], out[i], want)
+					t.Fatalf("%s b=%d ab=%d pred=%v: QueryBatchIdx(key %#x) = %v, point Query = %v",
+						variant, bsz, attrBits, pred, keys[i], out[i], want)
 				}
 			}
 		}

@@ -68,6 +68,8 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 // TestWrapShedsWithRetryAfter pins the HTTP shape of a shed: with the
 // single slot held by a blocked request, the next one answers 503 with
 // Retry-After without entering the handler, and the shed counter moves.
+// A binary request is shed in its own codec: an error frame of kind
+// overloaded, as the raw-TCP listener answers.
 func TestWrapShedsWithRetryAfter(t *testing.T) {
 	sm := newServerMetrics(nil)
 	lim := newLimiter(AdmissionOptions{MaxInflight: 1, MaxQueue: 0})
@@ -98,6 +100,24 @@ func TestWrapShedsWithRetryAfter(t *testing.T) {
 	}
 	if sm.shed[shedQueueFull].Value() != 1 {
 		t.Fatalf("shed counter = %d, want 1", sm.shed[shedQueueFull].Value())
+	}
+
+	rec = httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/x", nil)
+	req.Header.Set("Content-Type", wire.ContentType)
+	h(rec, req)
+	resp := rec.Result()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("binary shed: status %d, Retry-After %q; want 503 with a hint",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	op, payload := readFrame(t, resp)
+	if op != wire.OpError {
+		t.Fatalf("binary shed: response op %v, want an error frame", op)
+	}
+	if re, err := wire.DecodeError(payload); err != nil || re.Code != http.StatusServiceUnavailable ||
+		re.Kind != wire.KindOverloaded || !strings.Contains(re.Msg, shedQueueFull) {
+		t.Fatalf("binary shed: error frame %+v (%v), want 503 overloaded naming %s", re, err, shedQueueFull)
 	}
 	close(block)
 	wg.Wait()

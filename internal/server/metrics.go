@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -214,9 +213,7 @@ func (m *serverMetrics) wrap(endpoint string, logger *slog.Logger, slowQuery tim
 			qsp.End()
 			if reason != "" {
 				m.shed[reason].Inc()
-				sw.Header().Set("Retry-After", "1")
-				httpError(sw, http.StatusServiceUnavailable,
-					fmt.Errorf("server: overloaded (%s)", reason))
+				writeFailure(sw, r, overloaded(reason))
 			} else {
 				func() {
 					defer lim.release()

@@ -44,6 +44,13 @@ func deadlineFailure(err error) failure {
 	return failure{code: http.StatusGatewayTimeout, kind: wire.KindDeadline, msg: err.Error()}
 }
 
+// overloaded is admission control's shed on either transport; reason
+// names the limit that shed the request.
+func overloaded(reason string) failure {
+	return failure{code: http.StatusServiceUnavailable, kind: wire.KindOverloaded,
+		msg: "server: overloaded (" + reason + ")", retryAfter: "1"}
+}
+
 var (
 	// errNoSuchFilter is the one not-found mapping, shared by the
 	// URL-bound lookup and the frame lookup.

@@ -218,8 +218,7 @@ func (s *Server) handleWireFrame(op wire.Op, payload []byte, ws *reqScratch) {
 		f = errNotReady
 	case shed != "":
 		s.sm.shed[shed].Inc()
-		f = failure{code: http.StatusServiceUnavailable, kind: wire.KindOverloaded,
-			msg: "server overloaded (" + shed + ")"}
+		f = overloaded(shed)
 	default:
 		var ctx context.Context
 		var cancel context.CancelFunc

@@ -19,10 +19,16 @@ import (
 
 func loadedSharded(t testing.TB, shards int) (*ShardedFilter, []uint64) {
 	t.Helper()
+	return loadedShardedBits(t, shards, 0)
+}
+
+// loadedShardedBits is loadedSharded with AttrBits set (0 = the default).
+func loadedShardedBits(t testing.TB, shards, attrBits int) (*ShardedFilter, []uint64) {
+	t.Helper()
 	s, err := New(Options{
 		Shards:  shards,
 		Workers: 1,
-		Params:  core.Params{NumAttrs: 2, Capacity: 1 << 14, Seed: 5},
+		Params:  core.Params{NumAttrs: 2, Capacity: 1 << 14, AttrBits: attrBits, Seed: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -364,12 +370,20 @@ func TestQueryBatchContextZeroAllocMatrix(t *testing.T) {
 	defer cancel()
 	for _, shards := range []int{1, 4} {
 		s, keys := loadedSharded(t, shards)
+		// An AttrBits-16 filter probed with multi-value in-lists needs the
+		// largest compiled-predicate scratch.
+		wide, _ := loadedShardedBits(t, shards, 16)
 		batch := keys[:1024]
 		dst := make([]bool, 0, len(batch))
 		for _, pc := range []struct {
 			name string
+			s    *ShardedFilter
 			pred core.Predicate
-		}{{"pred", core.And(core.Eq(0, 3))}, {"empty", nil}} {
+		}{
+			{"pred", s, core.And(core.Eq(0, 3))},
+			{"pred/attrbits16-inlist", wide, core.And(core.In(0, 3, 5, 1<<40), core.In(1, 1, 70000))},
+			{"empty", s, nil},
+		} {
 			for _, tc := range []struct {
 				name string
 				tr   *trace.Tracer
@@ -380,7 +394,7 @@ func TestQueryBatchContextZeroAllocMatrix(t *testing.T) {
 				}{{"nodeadline", nil}, {"deadline", live}} {
 					run := func() {
 						r := tc.tr.StartRequest("")
-						dst, _ = s.QueryBatchContext(cc.ctx, dst[:0], batch, pc.pred, r)
+						dst, _ = pc.s.QueryBatchContext(cc.ctx, dst[:0], batch, pc.pred, r)
 						tc.tr.Finish(r, 200)
 					}
 					// Warm past the scratch pools, the request pool and the
