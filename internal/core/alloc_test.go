@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"ccf/internal/simd"
@@ -121,6 +122,82 @@ func TestQueryBatchSteadyStateZeroAlloc(t *testing.T) {
 				t.Errorf("%s: ContainsBatchInto allocates %.2f allocs/op, want 0", v, n)
 			}
 		})
+	}
+}
+
+// TestCompiledPredScratchFollowsPredicate pins the compile scratch to the
+// predicate, not to the filter: on a filter with many attributes at
+// AttrBits 16, a key-only probe compiles nothing, one condition costs one
+// bitmap plus the intersection scratch, a predicate over more attributes
+// than maxCompiledWords allows matches raw, and a recompile leaves no bit
+// of the previous predicate behind. Every answer equals the scalar probe,
+// and steady-state probes allocate nothing.
+func TestCompiledPredScratchFollowsPredicate(t *testing.T) {
+	const nattr, nw = 512, 1 << 16 / 64
+	f, err := New(Params{Variant: VariantChained, NumAttrs: nattr, Capacity: 1 << 10,
+		AttrBits: 16, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]uint64, nattr)
+	keys := make([]uint64, 0, 1024)
+	for k := uint64(0); k < 512; k++ {
+		for j := range row {
+			row[j] = (k + uint64(j)) % 5
+		}
+		row[300] = k % 3 << 40 // hashed, not stored exactly
+		if err := f.Insert(k, row); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k, k+1<<20)
+	}
+	every := make(Predicate, nattr)
+	for j := range every {
+		every[j] = In(j, 0, uint64(j)%5)
+	}
+	one := And(Eq(300, 1<<40))
+	repeated := And(In(7, 1, 2, 3), In(300, 0, 1<<40), In(7, 2, 3, 4))
+	var cp compiledPred
+	cp.compile(f, nil)
+	if len(cp.bits) != 0 || cp.raw {
+		t.Fatalf("key-only compile: %d words, raw=%v; want 0 words, bitmaps", len(cp.bits), cp.raw)
+	}
+	cp.compile(f, one)
+	if len(cp.bits) != 2*nw || cp.raw {
+		t.Fatalf("one-condition compile: %d words, raw=%v; want %d, bitmaps", len(cp.bits), cp.raw, 2*nw)
+	}
+	cp.compile(f, every)
+	if len(cp.bits) > maxCompiledWords || !cp.raw {
+		t.Fatalf("%d-attribute compile: %d words, raw=%v; want <= %d, raw",
+			nattr, len(cp.bits), cp.raw, maxCompiledWords)
+	}
+	for _, p := range []Predicate{repeated, one, every, nil, repeated} {
+		cp.compile(f, p)
+		var fresh compiledPred
+		fresh.compile(f, p)
+		used := len(fresh.bits)
+		if !slices.Equal(cp.bits[:used], fresh.bits) || slices.ContainsFunc(cp.bits[used:], func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("recompiling %v left bits of the previous predicate", p)
+		}
+		got := f.QueryBatchInto(nil, keys, p)
+		for i, k := range keys {
+			if want := f.Query(k, p); got[i] != want {
+				t.Fatalf("pred with %d conditions, key %d: batch=%v scalar=%v", len(p), k, got[i], want)
+			}
+		}
+	}
+	if raceEnabled {
+		return // sync.Pool drops items under the race detector
+	}
+	dst := make([]bool, 0, len(keys))
+	for _, p := range []Predicate{nil, one} {
+		dst = f.QueryBatchInto(dst[:0], keys, p)
+		if n := testing.AllocsPerRun(100, func() {
+			dst = f.QueryBatchInto(dst[:0], keys, p)
+		}); n != 0 {
+			t.Errorf("%d-attribute filter, %d conditions: QueryBatchInto allocates %.2f allocs/op, want 0",
+				nattr, len(p), n)
+		}
 	}
 }
 

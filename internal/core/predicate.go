@@ -68,63 +68,72 @@ func (f *Filter) matchVector(entryIdx int, p Predicate) bool {
 // compressed filter's fold all hold). A vector entry then matches with
 // one bit test per attribute instead of re-fingerprinting every value for
 // every slot that holds the key. Conditions that repeat an attribute
-// narrow its bitmap to their intersection, so the scratch is bounded by
-// the filter's NumAttrs, not by the request. It lives in the pooled
+// narrow its bitmap to their intersection. It lives in the pooled
 // probeBatch, never in the filter, so concurrent readers each compile
 // their own.
 type compiledPred struct {
 	pred  Predicate // Bloom entries and converted groups match it raw
+	raw   bool      // no bitmaps: every entry matches pred itself
 	attrs []int     // the attributes pred constrains, each once
 	nw    int       // bitmap words per attribute
-	// bits holds attribute a's bitmap at bits[a*nw : (a+1)*nw], then nw
-	// words of scratch for intersecting a repeated attribute.
-	bits  []uint64
-	dirty []int32 // words of bits the last compile set
+	// bits holds the bitmap of attrs[i] at bits[i*nw : (i+1)*nw], then
+	// nw words of scratch for intersecting a repeated attribute.
+	bits []uint64
 }
 
-// compile prepares cp to answer pred on f. It clears only the words the
-// previous compile set, so a small batch under a wide AttrBits does not
-// pay for zeroing whole bitmaps (8 KiB each at AttrBits 16).
+// maxCompiledWords caps the compile scratch: a predicate over more
+// distinct attributes than fit (7 at AttrBits 16, 2047 at AttrBits 8)
+// matches raw, so no request can make a pooled probeBatch hold more.
+const maxCompiledWords = 1 << 13
+
+// compile prepares cp to answer pred on f. The scratch grows with the
+// attributes pred constrains, not with the filter's NumAttrs, and a
+// compile clears only the rows the previous one used.
 func (cp *compiledPred) compile(f *Filter, pred Predicate) {
-	for _, w := range cp.dirty {
-		cp.bits[w] = 0
+	clear(cp.bits[:len(cp.attrs)*cp.nw])
+	cp.attrs, cp.pred, cp.raw = cp.attrs[:0], pred, f.attrs == nil
+	if len(pred) == 0 || cp.raw {
+		return // key-only, or VariantBloom: no bitmap to test
 	}
-	cp.dirty, cp.attrs, cp.pred = cp.dirty[:0], cp.attrs[:0], pred
-	if f.attrs == nil {
-		return // VariantBloom: no vector entries to test
-	}
-	nw := max(1, 1<<f.p.AttrBits/64)
-	cp.nw = nw
-	if n := (f.nattr + 1) * nw; len(cp.bits) < n {
-		cp.bits = make([]uint64, n)
-	}
-	tmp := cp.bits[f.nattr*nw : (f.nattr+1)*nw]
 	for _, c := range pred {
 		if !slices.Contains(cp.attrs, c.Attr) {
 			cp.attrs = append(cp.attrs, c.Attr)
-			cp.set(f, c, c.Attr*nw)
+		}
+	}
+	nw, k := max(1, 1<<f.p.AttrBits/64), len(cp.attrs)
+	if (k+1)*nw > maxCompiledWords {
+		cp.attrs, cp.raw = cp.attrs[:0], true
+		return
+	}
+	cp.nw = nw
+	if len(cp.bits) < (k+1)*nw {
+		cp.bits = make([]uint64, (k+1)*nw)
+	}
+	tmp := cp.bits[k*nw : (k+1)*nw]
+	seen := 0 // attrs is in first-use order: attrs[seen] is the next new one
+	for _, c := range pred {
+		i := slices.Index(cp.attrs, c.Attr)
+		row := cp.bits[i*nw : (i+1)*nw]
+		if i == seen {
+			seen++
+			f.setFingerprints(row, c)
 			continue
 		}
 		// A repeated attribute: the conjunction keeps the fingerprints
 		// both conditions admit.
-		cp.set(f, c, f.nattr*nw)
-		own := cp.bits[c.Attr*nw : (c.Attr+1)*nw]
-		for w := range own {
-			own[w] &= tmp[w]
+		f.setFingerprints(tmp, c)
+		for w := range row {
+			row[w] &= tmp[w]
 		}
 		clear(tmp)
 	}
 }
 
-// set sets the bits of c's value fingerprints in the bitmap at word off.
-func (cp *compiledPred) set(f *Filter, c Cond, off int) {
+// setFingerprints sets the bits of c's value fingerprints in row.
+func (f *Filter) setFingerprints(row []uint64, c Cond) {
 	for _, v := range c.Values {
 		a := f.attrFingerprint(c.Attr, v)
-		w := off + int(a/64)
-		if cp.bits[w] == 0 {
-			cp.dirty = append(cp.dirty, int32(w))
-		}
-		cp.bits[w] |= 1 << (a % 64)
+		row[a/64] |= 1 << (a % 64)
 	}
 }
 
@@ -132,9 +141,9 @@ func (cp *compiledPred) set(f *Filter, c Cond, off int) {
 // the entry's attribute vector. A stored fingerprint outside the bitmap
 // (only a corrupt snapshot holds one) equals no value's fingerprint.
 func (cp *compiledPred) matchVector(vec []uint16) bool {
-	for _, a := range cp.attrs {
+	for i, a := range cp.attrs {
 		x := int(vec[a])
-		if x/64 >= cp.nw || cp.bits[a*cp.nw+x/64]&(1<<(x%64)) == 0 {
+		if x/64 >= cp.nw || cp.bits[i*cp.nw+x/64]&(1<<(x%64)) == 0 {
 			return false
 		}
 	}

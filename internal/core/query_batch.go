@@ -278,14 +278,15 @@ func (f *Filter) walkChain(fp uint16, home uint32, cp *compiledPred) bool {
 
 // slotsMatch reports whether any slot of the bucket flagged in mask
 // satisfies the compiled predicate. Live vector entries test the bitmaps;
-// every other entry (tombstoned, Bloom, converted group) goes through
-// entryMatches and the raw predicate.
+// every other entry (tombstoned, Bloom, converted group), and every entry
+// of a predicate compiled raw, goes through entryMatches and the raw
+// predicate.
 func (f *Filter) slotsMatch(bucket uint32, mask uint8, cp *compiledPred) bool {
 	base := int(bucket) * f.bsz
 	for mask != 0 {
 		idx := base + bits.TrailingZeros8(mask)
 		mask &= mask - 1
-		if f.attrs != nil && f.flags[idx]&(flagTombstone|flagConverted) == 0 {
+		if !cp.raw && f.flags[idx]&(flagTombstone|flagConverted) == 0 {
 			if cp.matchVector(f.attrs[idx*f.nattr : (idx+1)*f.nattr]) {
 				return true
 			}
