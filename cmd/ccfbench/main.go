@@ -1,52 +1,26 @@
-// Command ccfbench regenerates the paper's tables and figures.
+// Command ccfbench regenerates the paper's tables and figures, and
+// carries the two daemon smoke checks CI runs against a live ccfd.
 //
 // Usage:
 //
 //	ccfbench [-scale 0.01] [-seed 1] [-runs 5] [-quick] <experiment>...
-//	ccfbench -allocs
-//	ccfbench -contended [-clients 4]
 //	ccfbench -validate-metrics http://127.0.0.1:8437/metrics
-//	ccfbench -trace-report BENCH_serve.json
-//	ccfbench -overload-report BENCH_serve.json
-//	ccfbench -protocol-report BENCH_serve.json
 //	ccfbench -wire-check 127.0.0.1:8438 [-wire-http http://127.0.0.1:8437]
 //
 // Experiments: table1 table2 table3 fig2 fig3 fig4 fig5 fig6 fig7 fig8
-// fig9 fig10 aggregate all. Output is printed as aligned text tables; see
-// EXPERIMENTS.md for the recorded paper-versus-measured comparison.
-//
-// -allocs skips the experiments and prints the storage engine's hot-path
-// latency and allocation report (ns/op, allocs/op, B/op for Query, Insert
-// and the sharded QueryBatch), the machine-readable form of the packed
-// engine's allocation-free contract.
-//
-// -contended prints the read-heavy contended serving report: N client
-// goroutines at a 95/5 read/write batch mix through the sharded filter,
-// via the optimistic seqlock read path and the RLock baseline.
+// fig9 fig10 aggregate all. Output is printed as aligned text tables.
 //
 // -validate-metrics scrapes a running daemon's /metrics endpoint and
 // fails (exit 1) on malformed Prometheus exposition or a missing
 // required metric family — CI's observability smoke check.
 //
-// -trace-report reads a BENCH_serve.json written by `ccfd bench` and
-// prints the tracing pass's phase-attribution tables: per-request trace
-// overhead, then each phase's count, total, p50 and p99.
-//
-// -overload-report reads the same file and prints the overload pass
-// written by `ccfd bench overload`: goodput, shed rate and success
-// latency tails under offered load past capacity, with admission
-// control off versus on.
-//
-// -protocol-report reads the same file and prints the daemon protocol
-// passes (`ccfd bench -protocols`): the per-key cost of JSON over HTTP
-// versus binary frames over HTTP and raw TCP, with speedups against the
-// JSON baseline. Every report warns when all committed records came
-// from a single-core host.
-//
 // -wire-check round-trips the binary wire protocol against a running
 // daemon's raw-TCP listener (insert, closed-loop query, pipelined
 // queries) and optionally cross-checks the content-negotiated HTTP
 // binary path — CI's wire-protocol smoke check.
+//
+// The daemon's serving performance is measured by the repository's
+// benchmark, perfbench/run.sh, not here.
 package main
 
 import (
@@ -96,13 +70,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed for data, workload and hashing")
 	runs := flag.Int("runs", 5, "repetitions for the multiset experiments (paper: 20)")
 	quick := flag.Bool("quick", false, "trim parameter grids for a fast pass")
-	allocs := flag.Bool("allocs", false, "print the hot-path ns/op and allocs/op report and exit")
-	contended := flag.Bool("contended", false, "print the contended read-path report (seqlock vs rlock) and exit")
-	clients := flag.Int("clients", 4, "client goroutines for -contended")
 	validateMetricsURL := flag.String("validate-metrics", "", "scrape this /metrics URL, fail on malformed exposition or missing families, and exit")
-	traceReportPath := flag.String("trace-report", "", "print the phase-attribution report from this BENCH_serve.json and exit")
-	overloadReportPath := flag.String("overload-report", "", "print the overload/admission-control report from this BENCH_serve.json and exit")
-	protocolReportPath := flag.String("protocol-report", "", "print the JSON-vs-binary wire protocol report from this BENCH_serve.json and exit")
 	wireCheckAddr := flag.String("wire-check", "", "round-trip the binary wire protocol against this host:port (raw TCP) and exit")
 	wireCheckHTTP := flag.String("wire-http", "", "with -wire-check, also cross-check binary frames on this HTTP base URL (e.g. http://127.0.0.1:8437)")
 	wireCheckFilter := flag.String("wire-filter", "smoke", "filter name for -wire-check")
@@ -123,43 +91,8 @@ func main() {
 		}
 		return
 	}
-	if *traceReportPath != "" {
-		if err := traceReport(os.Stdout, *traceReportPath); err != nil {
-			fmt.Fprintf(os.Stderr, "ccfbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *overloadReportPath != "" {
-		if err := overloadReport(os.Stdout, *overloadReportPath); err != nil {
-			fmt.Fprintf(os.Stderr, "ccfbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *protocolReportPath != "" {
-		if err := protocolReport(os.Stdout, *protocolReportPath); err != nil {
-			fmt.Fprintf(os.Stderr, "ccfbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *wireCheckAddr != "" {
 		if err := wireCheck(os.Stdout, *wireCheckAddr, *wireCheckHTTP, *wireCheckFilter, *wireCheckAttrs); err != nil {
-			fmt.Fprintf(os.Stderr, "ccfbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *allocs {
-		if err := allocReport(os.Stdout, uint64(*seed)); err != nil {
-			fmt.Fprintf(os.Stderr, "ccfbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *contended {
-		if err := contendedReport(os.Stdout, uint64(*seed), *clients); err != nil {
 			fmt.Fprintf(os.Stderr, "ccfbench: %v\n", err)
 			os.Exit(1)
 		}

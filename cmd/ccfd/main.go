@@ -1,8 +1,8 @@
 // Command ccfd is the conditional-cuckoo-filter daemon: it serves named,
 // sharded filters over HTTP for the paper's pushdown deployment (filters
-// built once, probed at high rate by query processors, §3), and ships a
-// bench mode that replays a Zipf-skewed workload against the sharded and
-// single-lock implementations.
+// built once, probed at high rate by query processors, §3). Its one
+// subcommand is serve; the repository's benchmark (perfbench/run.sh)
+// drives it end to end.
 //
 // Usage:
 //
@@ -16,18 +16,6 @@
 //	           [-request-timeout 0] [-max-inflight 0] [-max-queue 0]
 //	           [-queue-timeout 1s] [-rearm-min 0] [-rearm-max 0]
 //	           [-fault-schedule ""]
-//	ccfd bench [-keys 100000] [-queries 1000000] [-batch 1024]
-//	           [-shards 1,4,16] [-variant chained] [-alpha 1.1]
-//	           [-clients 0] [-seed 1] [-out BENCH_serve.json]
-//	           [-durable-fsync interval] [-durable-dir DIR]
-//	           [-contended-clients 4] [-read-frac 0.95]
-//	           [-probe-engine auto]
-//	ccfd bench grow [-capacity 50000] [-batch 1024] [-shards 1]
-//	           [-queries N] [-seed 1] [-out BENCH_serve.json] [-dir DIR]
-//	ccfd bench overload [-keys 50000] [-batch 256] [-shards 4]
-//	           [-duration 2s] [-overload 3] [-max-inflight 0]
-//	           [-max-queue 0] [-queue-timeout 100ms]
-//	           [-out BENCH_serve.json]
 //
 // serve exposes the internal/server API:
 //
@@ -94,11 +82,6 @@
 // WAL replay once the ladder gets tall. Filters created with an explicit
 // auto_grow policy in the PUT body keep their own settings. See the
 // README's Elastic capacity section.
-//
-// bench prints a table and writes machine-readable JSON records
-// ({op, impl, variant, shards, batch, ns_per_op, qps, cores}) for the
-// perf trajectory tracked across PRs; the sharded+wal records measure
-// the WAL's cost on the insert path.
 package main
 
 import (
@@ -135,15 +118,6 @@ func main() {
 	switch os.Args[1] {
 	case "serve":
 		err = serveCmd(os.Args[2:])
-	case "bench":
-		switch {
-		case len(os.Args) > 2 && os.Args[2] == "grow":
-			err = benchGrowCmd(os.Args[3:])
-		case len(os.Args) > 2 && os.Args[2] == "overload":
-			err = benchOverloadCmd(os.Args[3:])
-		default:
-			err = benchCmd(os.Args[2:])
-		}
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -170,17 +144,6 @@ func usage() {
              [-request-timeout DURATION] [-max-inflight N] [-max-queue N]
              [-queue-timeout 1s] [-rearm-min DURATION] [-rearm-max DURATION]
              [-fault-schedule SCHEDULE]
-  ccfd bench [-keys N] [-queries N] [-batch N] [-shards 1,4,16]
-             [-variant chained|plain|bloom|mixed] [-alpha 1.1]
-             [-clients 0] [-seed 1] [-out BENCH_serve.json]
-             [-durable-fsync always|interval|never|off] [-durable-dir DIR]
-             [-contended-clients 4] [-read-frac 0.95]
-             [-probe-engine auto|scalar|avx2|neon]
-  ccfd bench grow [-capacity N] [-batch N] [-shards N] [-queries N]
-             [-seed 1] [-out BENCH_serve.json] [-dir DIR]
-  ccfd bench overload [-keys N] [-batch N] [-shards N] [-duration 2s]
-             [-overload FACTOR] [-max-inflight N] [-max-queue N]
-             [-queue-timeout 100ms] [-out BENCH_serve.json]
 `)
 }
 

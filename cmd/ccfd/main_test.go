@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"ccf/internal/core"
 	"ccf/internal/obs"
 	"ccf/internal/server"
 )
@@ -196,101 +195,6 @@ func TestPprofEndpoint(t *testing.T) {
 	}
 	if b, _ := io.ReadAll(resp.Body); len(b) == 0 {
 		t.Fatal("pprof cmdline: empty body")
-	}
-}
-
-// TestBenchEmitsJSONRecords runs a miniature bench pass and checks the
-// machine-readable records cover both implementations and every shard
-// count, with sane rates.
-func TestBenchEmitsJSONRecords(t *testing.T) {
-	cfg := benchConfig{
-		keys: 2000, queries: 8000, batch: 256, shards: []int{1, 4},
-		variant: core.VariantChained, alpha: 1.1, clients: 2, seed: 1,
-		durableFsync: "interval", durableDir: t.TempDir(),
-		contendedClients: 4, readFrac: 0.95,
-		metrics: true,
-	}
-	var buf bytes.Buffer
-	results, err := runBench(cfg, &buf)
-	if err != nil {
-		t.Fatalf("runBench: %v", err)
-	}
-	// Per shard count: insert + query (Zipf + uniform + traced) +
-	// 2 contended (seqlock/rlock) + wal.
-	if len(results) != 2+7*len(cfg.shards) {
-		t.Fatalf("got %d records", len(results))
-	}
-	seen := map[string]bool{}
-	for _, r := range results {
-		seen[fmt.Sprintf("%s/%s/%d", r.Op, r.Impl, r.Shards)] = true
-		// The uniform pass replays the committed microbench, which runs
-		// the packed default variant on its own filter.
-		wantVariant := "Chained"
-		if r.Impl == "sharded-uniform" {
-			wantVariant = "Plain"
-		}
-		if r.QPS <= 0 || r.NsPerOp <= 0 || r.Cores < 1 || r.Variant != wantVariant {
-			t.Fatalf("bad record: %+v", r)
-		}
-		if r.ProbeEngine == "" || r.Goarch == "" {
-			t.Fatalf("record missing machine context: %+v", r)
-		}
-		if r.Impl == "sharded+wal" && r.Fsync != "interval" {
-			t.Fatalf("durable record missing fsync policy: %+v", r)
-		}
-		if r.Op == "mixed" && (r.Clients != 4 || r.ReadFrac != 0.95) {
-			t.Fatalf("contended record missing clients/read_frac: %+v", r)
-		}
-		// -metrics folds scrape summaries in: the durable pass must show
-		// WAL traffic and fsyncs, and the forced-RLock contended pass
-		// counts every read as a fallback.
-		if r.Impl == "sharded+wal" && (r.WALAppendBytes == 0 || r.FsyncCount == 0) {
-			t.Fatalf("durable record missing scraped WAL metrics: %+v", r)
-		}
-		if r.Impl == "sharded-rlock" && r.SeqlockFallbacks == 0 {
-			t.Fatalf("rlock contended record shows no fallbacks: %+v", r)
-		}
-		// The traced pass must attribute sampled request time to phases:
-		// at minimum the root request span and the per-shard probes.
-		if r.Impl == "sharded+trace" {
-			if len(r.PhaseAttribution) == 0 {
-				t.Fatalf("traced record missing phase attribution: %+v", r)
-			}
-			for _, phase := range []string{"request", "shard_probe"} {
-				st, ok := r.PhaseAttribution[phase]
-				if !ok || st.Count == 0 {
-					t.Fatalf("traced record missing %s attribution: %+v", phase, r.PhaseAttribution)
-				}
-			}
-		}
-	}
-	for _, want := range []string{"insert/sync/1", "query/sync/1", "insert/sharded/1",
-		"query/sharded/1", "insert/sharded/4", "query/sharded/4",
-		"query/sharded-uniform/1", "query/sharded-uniform/4",
-		"query/sharded+trace/1", "query/sharded+trace/4",
-		"insert/sharded+wal/1", "insert/sharded+wal/4",
-		"mixed/sharded/1", "mixed/sharded-rlock/1",
-		"mixed/sharded/4", "mixed/sharded-rlock/4"} {
-		if !seen[want] {
-			t.Fatalf("missing record %s (have %v)", want, seen)
-		}
-	}
-	// Records round-trip through JSON with the documented field names.
-	data, err := json.Marshal(results)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var decoded []map[string]any
-	if err := json.Unmarshal(data, &decoded); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	for _, field := range []string{"op", "impl", "variant", "shards", "batch", "ns_per_op", "qps", "cores"} {
-		if _, ok := decoded[0][field]; !ok {
-			t.Fatalf("JSON record missing %q: %s", field, data)
-		}
-	}
-	if buf.Len() == 0 {
-		t.Fatal("no table output")
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // Absolute numbers need not match the paper — the dataset is synthetic and
 // scaled — but the shape must: who wins, by what factor, and where the
-// crossovers fall. EXPERIMENTS.md records paper-versus-measured for each id.
+// crossovers fall.
 package experiments
 
 import (

@@ -101,9 +101,8 @@ func TestRequestSpanOrdering(t *testing.T) {
 	if n, ok := spans[2].Attr(AttrLevels); !ok || n != 1 {
 		t.Fatalf("shard_probe levels attr = %d, %v", n, ok)
 	}
-	attrib := tr.Attribution()
-	if attrib["request"].Count != 1 || attrib["shard_probe"].Count != 1 {
-		t.Fatalf("attribution = %+v", attrib)
+	if req, probe := tr.PhaseHistogram(PhaseRequest).Count(), tr.PhaseHistogram(PhaseShardProbe).Count(); req != 1 || probe != 1 {
+		t.Fatalf("attribution: request count %d, shard_probe count %d, want 1 and 1", req, probe)
 	}
 }
 
@@ -200,8 +199,8 @@ func TestBackgroundSpans(t *testing.T) {
 	if v, ok := spans[0].Attr(AttrBytes); !ok || v != 4096 {
 		t.Fatalf("checkpoint bytes attr = %d, %v", v, ok)
 	}
-	if attrib := tr.Attribution(); attrib["checkpoint"].Count != 1 {
-		t.Fatalf("background attribution missing: %+v", attrib)
+	if n := tr.PhaseHistogram(PhaseCheckpoint).Count(); n != 1 {
+		t.Fatalf("background attribution: checkpoint count %d, want 1", n)
 	}
 }
 
@@ -224,11 +223,16 @@ func TestNilTracerIsInert(t *testing.T) {
 	if bg.TraceID() != (ID{}) {
 		t.Fatal("nil BgSpan leaked state")
 	}
-	if tr.Attribution() != nil || tr.SampleEvery() != 0 {
+	if tr.SampleEvery() != 0 {
 		t.Fatal("nil tracer reported state")
 	}
-	if tr.TracerMetrics() != nil || tr.PhaseHistogram(PhaseDecode) != nil {
+	if tr.TracerMetrics() != nil {
 		t.Fatal("nil tracer returned handles")
+	}
+	for _, p := range Phases() {
+		if tr.PhaseHistogram(p) != nil {
+			t.Fatalf("nil tracer returned a %s histogram", p)
+		}
 	}
 }
 

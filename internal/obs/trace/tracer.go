@@ -402,36 +402,6 @@ func (t *Tracer) snapshotRings() []Span {
 	return out
 }
 
-// PhaseStat is one phase's attribution summary.
-type PhaseStat struct {
-	Count   uint64  `json:"count"`
-	TotalNs int64   `json:"total_ns"`
-	P50Ns   float64 `json:"p50_ns"`
-	P99Ns   float64 `json:"p99_ns"`
-}
-
-// Attribution summarizes the per-phase histograms accumulated from
-// sampled traces: where request time is going, by phase.
-func (t *Tracer) Attribution() map[string]PhaseStat {
-	if t == nil {
-		return nil
-	}
-	out := make(map[string]PhaseStat, numPhases)
-	for p := Phase(0); p < numPhases; p++ {
-		h := t.phases[p]
-		if h.Count() == 0 {
-			continue
-		}
-		out[p.String()] = PhaseStat{
-			Count:   h.Count(),
-			TotalNs: h.Sum(),
-			P50Ns:   h.Quantile(0.50) * 1e9,
-			P99Ns:   h.Quantile(0.99) * 1e9,
-		}
-	}
-	return out
-}
-
 func nextPow2(n int) int {
 	if n < 1 {
 		return 1

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"sync"
+	"unsafe"
 
 	"ccf/internal/core"
 	"ccf/internal/obs/trace"
@@ -80,23 +81,29 @@ type reqScratch struct {
 	statuses []byte
 }
 
-// Scratches grown past these caps are dropped, not pooled, so one huge
-// batch cannot pin multi-MB buffers for the steady state.
-const (
-	maxPooledResults   = 64 << 10
-	maxPooledWireBytes = 1 << 20
-)
+// A scratch is reused only while every buffer it owns holds at most
+// maxPooledBytes; past that it is dropped (HTTP pool) or replaced (TCP
+// connection), so one huge batch cannot pin multi-MB buffers for the
+// steady state.
+const maxPooledBytes = 1 << 20
+
+// oversized reports whether any buffer sc owns holds more than
+// maxPooledBytes, counted by capacity.
+func (sc *reqScratch) oversized() bool {
+	return max(sc.buf.Cap(), sc.sc.Cap(), cap(sc.out), cap(sc.results), cap(sc.statuses),
+		cap(sc.errs)*int(unsafe.Sizeof(error(nil))),
+		cap(sc.rows)*int(unsafe.Sizeof([]uint64(nil))),
+		cap(sc.pred)*int(unsafe.Sizeof(core.Cond{}))) > maxPooledBytes
+}
 
 var scratchPool = sync.Pool{New: func() any { return new(reqScratch) }}
 
 func getScratch() *reqScratch { return scratchPool.Get().(*reqScratch) }
 
 func putScratch(sc *reqScratch) {
-	if cap(sc.results) > maxPooledResults || cap(sc.errs) > maxPooledResults ||
-		cap(sc.out) > maxPooledWireBytes {
-		return
+	if !sc.oversized() {
+		scratchPool.Put(sc)
 	}
-	scratchPool.Put(sc)
 }
 
 // admit spends n work units against e's rate limit.

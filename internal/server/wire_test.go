@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -532,6 +533,67 @@ func TestWireZeroAllocRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// hugeInListFrame is a query frame with one key and a 2^20-value in-list
+// (3.1 MB): serving it grows a scratch's frame buffer and decode storage
+// far past maxPooledBytes.
+func hugeInListFrame() []byte {
+	vals := make([]uint64, 1<<20)
+	for i := range vals {
+		vals[i] = uint64(i)
+	}
+	return wire.AppendQuery(nil, "movies", []wire.Cond{{Attr: 0, Values: vals}}, []uint64{5}, false)
+}
+
+// liveHeap returns the bytes of live heap objects. Two collections empty
+// every sync.Pool, so what stays live is held by something else, such as
+// a connection's own scratch.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestOversizedScratchNotKept pins the scratch size rule on both
+// transports: after one huge frame the HTTP pool does not take the
+// scratch back, and a raw-TCP connection lets go of the buffers it grew,
+// so later small requests do not keep megabytes alive.
+func TestOversizedScratchNotKept(t *testing.T) {
+	t.Run("http_pool", func(t *testing.T) {
+		s, _, sc, _, _ := wireAllocServer(t, nil)
+		roundTrip(t, s, sc, hugeInListFrame(), nil)
+		putScratch(sc)
+		if getScratch() == sc {
+			t.Fatal("a scratch grown by a 3.1 MB frame went back to the pool")
+		}
+	})
+	t.Run("tcp_conn", func(t *testing.T) {
+		s, _, _, qframe, _ := wireAllocServer(t, nil)
+		conn, err := net.Dial("tcp", startWireServer(t, s))
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer conn.Close()
+		ask := func(frame []byte) {
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			var buf wire.Buffer
+			if op, _, err := wire.ReadFrame(conn, &buf, 0); err != nil || op != wire.OpResult {
+				t.Fatalf("response op %v, err %v; want a result frame", op, err)
+			}
+		}
+		ask(qframe)
+		before := liveHeap()
+		ask(hugeInListFrame())
+		ask(qframe)
+		if grown := liveHeap() - before; grown > 4<<20 {
+			t.Fatalf("the connection keeps %d more live bytes after one 3.1 MB frame, want at most 4 MiB", grown)
+		}
+	})
 }
 
 // FuzzWireDecode is the differential fuzz between the binary decoder

@@ -189,6 +189,9 @@ func (s *Server) serveWireConn(c net.Conn) {
 		if _, err := bw.Write(ws.out); err != nil {
 			return
 		}
+		if ws.oversized() {
+			ws = new(reqScratch) // so the connection does not keep its largest frame's buffers
+		}
 		if br.Buffered() == 0 {
 			if err := bw.Flush(); err != nil {
 				return

@@ -190,6 +190,10 @@ func (b *Buffer) Bytes(n int) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&b.words[:1][0])), n)
 }
 
+// Cap returns the bytes b's storage holds, so a pool can drop a buffer
+// that one oversized frame has grown.
+func (b *Buffer) Cap() int { return 8 * cap(b.words) }
+
 // ReadFrame reads one frame from r: header, validation, then the
 // payload into buf's aligned storage. limit caps the payload (≤ 0 means
 // DefaultMaxFrame). io.EOF is returned untouched when the stream ends
@@ -289,6 +293,11 @@ type Scratch struct {
 	vals  []uint64
 	keys  []uint64
 	attrs []uint64
+}
+
+// Cap returns the bytes sc's decode storage holds, counted by capacity.
+func (sc *Scratch) Cap() int {
+	return cap(sc.conds)*int(unsafe.Sizeof(Cond{})) + 8*(cap(sc.vals)+cap(sc.keys)+cap(sc.attrs))
 }
 
 // query payload flag bits.
