@@ -4,7 +4,7 @@
 # fails or when head's median query_p50_us is worse than base's by more
 # than the bound base's BENCHMARK.json gives that metric.
 #
-#   bash .github/perf-gate.sh BASE_DIR HEAD_DIR [PAIRS]      # default 3 pairs
+#   bash .github/perf-gate.sh BASE_DIR HEAD_DIR        # 3 pairs, about 3 min
 #   bash .github/perf-gate.sh compare BASE.jsonl HEAD.jsonl BOUND
 #
 # Each run's ledger line, {"record": …, "result": …} from the first and
@@ -39,7 +39,6 @@ fi
 
 base=$(cd "$1" && pwd)
 head=$(cd "$2" && pwd)
-pairs=${3:-3}
 out=${PERF_GATE_OUT:-$(mktemp -d)}
 mkdir -p "$out"
 : >"$out/base.jsonl"
@@ -56,7 +55,7 @@ run() { # SIDE DIR PAIR
 	grep '^{' "$log" | jq -cs '{record: .[0].record, result: .[-1]}' >>"$out/$1.jsonl"
 }
 
-for i in $(seq 1 "$pairs"); do
+for i in 1 2 3; do
 	if [ $((i % 2)) = 1 ]; then
 		run base "$base" "$i"
 		run head "$head" "$i"

@@ -24,7 +24,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 func TestTraceparentRejects(t *testing.T) {
 	bad := []string{
 		"",
-		"00-0123456789abcdeffedcba9876543210-deadbeefcafef00d-0", // short
+		"00-0123456789abcdeffedcba9876543210-deadbeefcafef00d-0",  // short
 		"01-0123456789abcdeffedcba9876543210-deadbeefcafef00d-01", // version
 		"00-00000000000000000000000000000000-deadbeefcafef00d-01", // zero trace
 		"00-0123456789abcdeffedcba9876543210-0000000000000000-01", // zero parent
