@@ -75,7 +75,7 @@ func main() {
 	wireCheckHTTP := flag.String("wire-http", "", "with -wire-check, also cross-check binary frames on this HTTP base URL (e.g. http://127.0.0.1:8437)")
 	wireCheckFilter := flag.String("wire-filter", "smoke", "filter name for -wire-check")
 	wireCheckAttrs := flag.Int("wire-attrs", 2, "attribute count of the -wire-check filter")
-	probeEngine := flag.String("probe-engine", "auto", "batch probe engine: auto, scalar, or an explicit kernel name (avx2, neon)")
+	probeEngine := flag.String("probe-engine", "auto", "batch probe engine: auto, scalar, or an explicit kernel name (avx2)")
 	flag.Usage = usage
 	flag.Parse()
 

@@ -140,7 +140,7 @@ func usage() {
              [-pprof-addr 127.0.0.1:6060] [-auto-grow]
              [-metrics-addr 127.0.0.1:9437] [-log-format text|json]
              [-log-level debug|info|warn|error] [-slow-query DURATION]
-             [-trace-sample N] [-probe-engine auto|scalar|avx2|neon]
+             [-trace-sample N] [-probe-engine auto|scalar|avx2]
              [-request-timeout DURATION] [-max-inflight N] [-max-queue N]
              [-queue-timeout 1s] [-rearm-min DURATION] [-rearm-max DURATION]
              [-fault-schedule SCHEDULE]
@@ -197,7 +197,7 @@ func serveCmd(args []string) error {
 	logLevel := fs.String("log-level", "info", "minimum log level: debug|info|warn|error")
 	slowQuery := fs.Duration("slow-query", 0, "log requests at or above this latency at Warn and pin their trace in /debug/traces (0 disables)")
 	traceSample := fs.Int("trace-sample", 0, "capture every Nth request's trace into /debug/traces and the phase-attribution histograms (0 = slow requests only, 1 = all)")
-	probeEngine := fs.String("probe-engine", "auto", "batch probe engine: auto (detected best), scalar, or an explicit kernel name (avx2, neon)")
+	probeEngine := fs.String("probe-engine", "auto", "batch probe engine: auto (detected best), scalar, or an explicit kernel name (avx2)")
 	reqTimeout := fs.Duration("request-timeout", 0, "per-request deadline; batched work past it answers 504 (0 disables)")
 	maxInflight := fs.Int("max-inflight", 0, "maximum concurrently served requests; excess queues then sheds 503 (0 disables admission control)")
 	maxQueue := fs.Int("max-queue", 0, "admission queue depth once -max-inflight is saturated (0 = shed immediately)")

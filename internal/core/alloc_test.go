@@ -391,37 +391,44 @@ func BenchmarkCoreQueryBatch(b *testing.B) {
 	// (b = 6, d = 3), keys with up to 8 distinct rows so chains form past
 	// the first pair, two attributes, and an in-list holding a value
 	// above 2^AttrBits (hashed, not stored exactly). Half the probed keys
-	// are absent.
-	b.Run("ChainedPushdown", func(b *testing.B) {
-		f, err := New(Params{Variant: VariantChained, NumAttrs: 2, Capacity: 1 << 15, Seed: 42})
-		if err != nil {
-			b.Fatal(err)
-		}
-		const nkeys = 1 << 12
-		probe := make([]uint64, 0, 2*nkeys)
-		for k := uint64(0); k < nkeys; k++ {
-			key := k * 0x9e3779b97f4a7c15
-			for r := uint64(0); r <= k%8; r++ {
-				if err := f.Insert(key, []uint64{(k + r) % 8, []uint64{5, 300, 7, 1000}[r%4]}); err != nil {
-					b.Fatal(err)
-				}
+	// are absent. ChainedPushdown's table fits one core's L2;
+	// ChainedPushdownLarge's (11 MiB) does not, so it prices the probe's
+	// cache misses and what prefetching hides of them.
+	for _, sz := range []struct {
+		name     string
+		capacity int
+		nkeys    uint64
+	}{{"ChainedPushdown", 1 << 15, 1 << 12}, {"ChainedPushdownLarge", 1 << 20, 1 << 17}} {
+		b.Run(sz.name, func(b *testing.B) {
+			f, err := New(Params{Variant: VariantChained, NumAttrs: 2, Capacity: sz.capacity, Seed: 42})
+			if err != nil {
+				b.Fatal(err)
 			}
-			probe = append(probe, key, key+1)
-		}
-		pred := And(Eq(0, 3), In(1, 5, 300, 7))
-		const batch = 1024
-		dst := make([]bool, 0, batch)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			lo := (i * batch) % len(probe)
-			dst = f.QueryBatchInto(dst[:0], probe[lo:lo+batch], pred)
-		}
-		b.StopTimer()
-		if b.Elapsed() > 0 {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/key")
-		}
-	})
+			probe := make([]uint64, 0, 2*sz.nkeys)
+			for k := uint64(0); k < sz.nkeys; k++ {
+				key := k * 0x9e3779b97f4a7c15
+				for r := uint64(0); r <= k%8; r++ {
+					if err := f.Insert(key, []uint64{(k + r) % 8, []uint64{5, 300, 7, 1000}[r%4]}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				probe = append(probe, key, key+1)
+			}
+			pred := And(Eq(0, 3), In(1, 5, 300, 7))
+			const batch = 1024
+			dst := make([]bool, 0, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := (i * batch) % len(probe)
+				dst = f.QueryBatchInto(dst[:0], probe[lo:lo+batch], pred)
+			}
+			b.StopTimer()
+			if b.Elapsed() > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/key")
+			}
+		})
+	}
 }
 
 func BenchmarkCoreQueryKey(b *testing.B) {

@@ -31,7 +31,6 @@ func (f *Filter) CompressAttributes(newBits int) (*Filter, error) {
 	g.origAttrBits = f.p.AttrBits
 	copy(g.fps, f.fps)
 	copy(g.flags, f.flags)
-	g.rebuildWords()
 	g.occupied = f.occupied
 	g.rows = f.rows
 	g.discarded = f.discarded

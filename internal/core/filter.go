@@ -195,9 +195,6 @@ func (f *Filter) pairBuckets(l uint32, fp uint16) (uint32, uint32, bool) {
 
 // countFpInBucket returns the number of slots in the bucket holding κ.
 func (f *Filter) countFpInBucket(bucket uint32, fp uint16) int {
-	if !f.bucketMayContain(bucket, fp) {
-		return 0
-	}
 	base := int(bucket) * f.bsz
 	n := 0
 	for j := 0; j < f.bsz; j++ {
@@ -259,13 +256,6 @@ func (f *Filter) placeWithKicks(l1, l2 uint32, c *carried) bool {
 	f.scratch.path = path
 	return false
 }
-
-// CheckWordMirror verifies that the packed word mirror agrees with the
-// fingerprint array slot for slot. The batch compare kernels answer
-// misses from the mirror alone, so any bulk-load or grow path that
-// desynced it would silently produce false negatives; tests call this
-// after every such transition. Callers must exclude writers.
-func (f *Filter) CheckWordMirror() error { return f.checkWords() }
 
 // Accessors.
 
@@ -359,7 +349,7 @@ func (f *Filter) Stats() FilterStats {
 // any lock against a concurrent writer, relying on an external version
 // check (a seqlock, see internal/shard) to discard torn results. It holds
 // exactly when every probe touches only the fixed-size flat slices of the
-// packed bucketTable (fps, flags, words, attrs): a torn read of those can
+// packed bucketTable (fps, flags, attrs): a torn read of those can
 // mislead but never fault, and the version recheck catches the lie. The
 // sketched variants (Bloom, Mixed) fail it — their probes chase arena
 // references into a grow-only []*bloom.Filter whose backing array a

@@ -373,7 +373,6 @@ func (fr *Frozen) Thaw() (*Filter, error) {
 			f.attrs[base+j] = fr.attrAt(j, idx)
 		}
 	}
-	f.rebuildWords()
 	f.occupied = fr.occupied
 	f.rows = fr.rows
 	return f, nil

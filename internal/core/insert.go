@@ -66,12 +66,8 @@ func (f *Filter) vectorAt(idx int, vec []uint16) bool {
 	return true
 }
 
-// bucketHasVector reports whether the bucket stores (κ, α), pre-screened
-// by the packed word compare.
+// bucketHasVector reports whether the bucket stores (κ, α).
 func (f *Filter) bucketHasVector(bucket uint32, fp uint16, vec []uint16) bool {
-	if !f.bucketMayContain(bucket, fp) {
-		return false
-	}
 	base := int(bucket) * f.bsz
 	for j := 0; j < f.bsz; j++ {
 		if f.fps[base+j] == fp && f.vectorAt(base+j, vec) {
@@ -157,9 +153,6 @@ func (f *Filter) findLiveFpInPair(l1, l2 uint32, fp uint16) int {
 }
 
 func (f *Filter) findLiveFpInBucket(bucket uint32, fp uint16) int {
-	if !f.bucketMayContain(bucket, fp) {
-		return -1
-	}
 	base := int(bucket) * f.bsz
 	for j := 0; j < f.bsz; j++ {
 		idx := base + j
@@ -244,9 +237,6 @@ func (f *Filter) findConvertedInPair(l1, l2 uint32, fp uint16) int {
 }
 
 func (f *Filter) findConvertedInBucket(bucket uint32, fp uint16) int {
-	if !f.bucketMayContain(bucket, fp) {
-		return -1
-	}
 	base := int(bucket) * f.bsz
 	for j := 0; j < f.bsz; j++ {
 		idx := base + j
@@ -326,9 +316,6 @@ func (f *Filter) Delete(key uint64, attrs []uint64) error {
 }
 
 func (f *Filter) findVectorInBucket(bucket uint32, fp uint16, vec []uint16) int {
-	if !f.bucketMayContain(bucket, fp) {
-		return -1
-	}
 	base := int(bucket) * f.bsz
 	for j := 0; j < f.bsz; j++ {
 		if f.fps[base+j] == fp && f.vectorAt(base+j, vec) {
@@ -339,7 +326,7 @@ func (f *Filter) findVectorInBucket(bucket uint32, fp uint16, vec []uint16) int 
 }
 
 func (f *Filter) clearEntry(idx int) {
-	f.setFp(idx, 0)
+	f.fps[idx] = 0
 	f.flags[idx] = 0
 	if f.attrs != nil {
 		base := idx * f.nattr

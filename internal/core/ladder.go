@@ -125,19 +125,6 @@ func (l *Ladder) Params() Params { return l.levels()[0].Params() }
 // level answers for all (see Filter.ReadOptimistic).
 func (l *Ladder) ReadOptimistic() bool { return l.levels()[0].ReadOptimistic() }
 
-// CheckWordMirrors runs Filter.CheckWordMirror over every level; growth
-// and fold transitions must leave each level's mirror slot-exact or the
-// batch kernels would answer from stale words. Callers must exclude
-// writers.
-func (l *Ladder) CheckWordMirrors() error {
-	for _, f := range l.levels() {
-		if err := f.CheckWordMirror(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // openLevel appends a fresh level whose bucket count is the newest
 // level's times GrowthFactor, publishing the new level list.
 func (l *Ladder) openLevel() (*Filter, error) {

@@ -38,9 +38,6 @@ func TestLadderAbsorbsOverrun(t *testing.T) {
 			if got := l.Rows(); got != total {
 				t.Fatalf("Rows() = %d, want %d", got, total)
 			}
-			if err := l.CheckWordMirrors(); err != nil {
-				t.Fatalf("word mirror after growth: %v", err)
-			}
 			pred := make([]Predicate, total)
 			for i := range pred {
 				_, attrs := ladderRow(i)

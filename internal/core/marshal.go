@@ -272,7 +272,16 @@ func (f *Filter) UnmarshalBinary(data []byte) error {
 	if r.off != len(data) {
 		return fmt.Errorf("ccf: %d trailing bytes", len(data)-r.off)
 	}
-	g.rebuildWords()
+	// Only a Mixed slot that holds a fingerprint and a group reference is
+	// ever converted, and only key views, which are never marshaled, hold
+	// tombstones; any other flag would send a probe into sketch storage
+	// the slot does not have.
+	for i, fl := range g.flags {
+		if fl != 0 && (fl != flagConverted || p.Variant != VariantMixed ||
+			g.fps[i] == 0 || g.sketch[i] == sketchNone) {
+			return fmt.Errorf("ccf: corrupt flags %#x at slot %d", fl, i)
+		}
+	}
 	g.occupied = occupied
 	g.rows = rows
 	g.discarded = discarded

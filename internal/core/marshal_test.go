@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -169,5 +170,44 @@ func TestDecodedFilterKeepsInserting(t *testing.T) {
 		if !g.Query(k, And(Eq(0, k%3), Eq(1, k%5))) {
 			t.Fatalf("false negative on post-decode insert %d", k)
 		}
+	}
+}
+
+// TestUnmarshalRejectsCorruptFlags sets one flags byte that no filter
+// writes and requires the decoder to refuse the payload: a converted bit
+// outside a Mixed group member, or a tombstone, would send a probe into
+// sketch storage the slot does not have.
+func TestUnmarshalRejectsCorruptFlags(t *testing.T) {
+	for _, v := range allVariants() {
+		t.Run(v.String(), func(t *testing.T) {
+			f := buildForMarshal(t, v)
+			data, err := f.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The flags follow the magic, 19 header words and the fps.
+			flagsAt := 8 + 19*8 + 2*f.Capacity()
+			slot := slices.IndexFunc(f.fps, func(fp uint16) bool { return fp != 0 })
+			for slot >= 0 && f.flags[slot] != 0 {
+				slot++ // an unconverted Mixed slot: it has no group reference
+			}
+			if data[flagsAt+slot] != 0 {
+				t.Fatalf("slot %d: flags byte is %#x, want 0", slot, data[flagsAt+slot])
+			}
+			for _, fl := range []uint8{flagConverted, flagTombstone, flagConverted | flagTombstone, 0x80} {
+				bad := slices.Clone(data)
+				bad[flagsAt+slot] = fl
+				if err := new(Filter).UnmarshalBinary(bad); err == nil {
+					t.Errorf("flags %#x on occupied slot %d accepted", fl, slot)
+				}
+			}
+			// An empty slot holds no flags either.
+			empty := slices.Index(f.fps, 0)
+			bad := slices.Clone(data)
+			bad[flagsAt+empty] = flagConverted
+			if err := new(Filter).UnmarshalBinary(bad); err == nil {
+				t.Errorf("converted flag on empty slot %d accepted", empty)
+			}
+		})
 	}
 }

@@ -38,8 +38,7 @@ func (f *Filter) PredicateFilter(pred Predicate) (*KeyView, error) {
 		return &KeyView{f: clone, bitsPer: f.p.KeyBits + 1, variant: f.p.Variant}, nil
 	default:
 		// Erase non-matching entries outright; the result is an ordinary
-		// cuckoo filter of key fingerprints. The word mirror is rebuilt
-		// once after the bulk erase.
+		// cuckoo filter of key fingerprints.
 		for idx := range clone.fps {
 			if clone.fps[idx] == 0 {
 				continue
@@ -50,7 +49,6 @@ func (f *Filter) PredicateFilter(pred Predicate) (*KeyView, error) {
 				clone.occupied--
 			}
 		}
-		clone.rebuildWords()
 		return &KeyView{f: clone, bitsPer: f.p.KeyBits, variant: f.p.Variant}, nil
 	}
 }
@@ -74,7 +72,6 @@ func (f *Filter) shallowKeyClone() *Filter {
 	clone.nattr = f.nattr
 	clone.fps = append([]uint16(nil), f.fps...)
 	clone.flags = append([]uint8(nil), f.flags...)
-	clone.rebuildWords()
 	// Predicate matching in entryMatches consults attrs/sketches of the
 	// ORIGINAL filter during PredicateFilter construction; the clone
 	// itself never needs them because its queries are key-only (with an
@@ -100,9 +97,6 @@ func (v *KeyView) Contains(key uint64) bool {
 
 func (v *KeyView) bucketContains(bucket uint32, fp uint16) bool {
 	f := v.f
-	if !f.bucketMayContain(bucket, fp) {
-		return false
-	}
 	base := int(bucket) * f.bsz
 	for j := 0; j < f.bsz; j++ {
 		if f.fps[base+j] == fp && f.flags[base+j]&flagTombstone == 0 {

@@ -44,8 +44,7 @@ func (f *Filter) queryFp(fp uint16, home uint32, pred Predicate) bool {
 // QueryKey reports whether any row with the key may be present. For every
 // variant only the key's first bucket pair needs checking: Lemma 2
 // guarantees a chained key keeps d copies in its first pair, so "there is
-// no penalty for probing more buckets at query time" (§7.1). For the
-// packed b=4 layout this is two word compares and no per-slot work.
+// no penalty for probing more buckets at query time" (§7.1).
 func (f *Filter) QueryKey(key uint64) bool {
 	fp := f.fingerprint(key)
 	l1, l2, _ := f.pairBuckets(f.homeBucket(key), fp)
@@ -56,12 +55,8 @@ func (f *Filter) QueryKey(key uint64) bool {
 }
 
 // bucketMatch reports whether the bucket holds an entry for κ satisfying
-// pred, pre-screened by the packed word compare so absent keys cost no
-// per-slot work.
+// pred.
 func (f *Filter) bucketMatch(bucket uint32, fp uint16, pred Predicate) bool {
-	if !f.bucketMayContain(bucket, fp) {
-		return false
-	}
 	base := int(bucket) * f.bsz
 	for j := 0; j < f.bsz; j++ {
 		if f.fps[base+j] == fp && f.entryMatches(base+j, pred) {
@@ -103,9 +98,6 @@ func (f *Filter) entryMatches(idx int, pred Predicate) bool {
 // bucketCountMatch returns the number of copies of κ in the bucket and
 // whether any of them satisfies pred, in one pass.
 func (f *Filter) bucketCountMatch(bucket uint32, fp uint16, pred Predicate) (int, bool) {
-	if !f.bucketMayContain(bucket, fp) {
-		return 0, false
-	}
 	base := int(bucket) * f.bsz
 	count := 0
 	match := false

@@ -9,37 +9,36 @@ import (
 )
 
 // This file is the batched probe pipeline. A scalar Query serializes its
-// memory accesses: hash the key, load the bucket word, miss, stall. When a
+// memory accesses: hash the key, load the bucket, miss, stall. When a
 // caller has a whole batch of independent keys (selection pushdown probes
 // one filter per row, §3), those stalls are wasted parallelism — modern
 // cores can keep a dozen cache misses in flight, but only if the loads are
 // issued before any of their results is consumed. The batch entry points
 // below split the probe into phases over fixed-size tiles, each phase a
-// kernel from internal/simd (AVX2 or NEON when the hardware has them, the
-// scalar reference otherwise; see -probe-engine):
+// kernel from internal/simd (AVX2 when the hardware has it, the scalar
+// reference otherwise; see -probe-engine):
 //
-//	phase 1a  hash every key in the tile: fingerprint, home bucket, alt
-//	          bucket (pure ALU work the vector engine runs 4 keys wide)
-//	phase 1b  load both candidate bucket words for every key back to back
-//	          — independent loads the hardware overlaps, with explicit
-//	          software prefetch running ahead of them, so a tile pays for
-//	          its cache misses concurrently instead of sequentially
-//	phase 2   compare the preloaded words against each key's broadcast
-//	          fingerprint, 16 lanes (4 buckets) per 256-bit op, yielding
-//	          an exact per-slot hit mask per bucket; only keys with a set
-//	          bit (rare for negative probes) descend to slot-level
-//	          checks, and the mask tells them exactly which slots
+//	phase 1  hash every key in the tile: fingerprint, home bucket, alt
+//	         bucket (pure ALU work the vector engine runs 4 keys wide)
+//	phase 2  read both candidate buckets' fingerprints in place and
+//	         compare them against each key's broadcast fingerprint,
+//	         yielding an exact per-slot hit mask per bucket. The loads
+//	         depend only on phase 1's indexes, never on each other, and
+//	         the hardware kernel prefetches the buckets a fixed distance
+//	         ahead, so a tile pays for its cache misses concurrently; on
+//	         a hit it also prefetches the first hit slot's flags byte
+//	         and attribute vector
+//	settle   keys with an empty mask pair (most negative probes) resolve
+//	         with no further access; the rest test exactly the slots
+//	         their masks name, from lines phase 2 already requested
 //
 // The same phase structure batches lookups in Cuckoo-GPU and the
-// memory-level-parallel hash-probe literature. Bucket layouts without the
-// b=4 packed word mirror (the chained default is b = 6) build the same
-// exact masks from fps with SWAR compares (slotMask) as the loads land,
-// which keeps the loads independent across keys. Bucket sizes above
-// maxMaskSlots run the scalar probe per key.
+// memory-level-parallel hash-probe literature. Bucket sizes above
+// simd.MaxSlots run the scalar probe per key.
 //
 // Before the first tile the predicate is compiled once for the whole
-// batch (compiledPred). Phase 2 then ends a key in its first pair when
-// the pair holds no copy of κ, holds a matching entry, or (chained)
+// batch (compiledPred). The settle then ends a key in its first pair
+// when the pair holds no copy of κ, holds a matching entry, or (chained)
 // holds fewer than d copies; only a full, unmatched chained pair walks
 // on to pair 2 (Algorithm 5).
 
@@ -54,20 +53,15 @@ const probeTile = 256
 // batch queries run concurrently with each other. The arrays are what the
 // simd kernels stream through: keys (scatter mode compacts the tile's
 // keys here so the hash kernel always sees a contiguous run), fpw (each
-// fingerprint broadcast into all four 16-bit lanes, the compare kernel's
-// probe operand), hits (the packed compare kernel's per-key lane masks:
-// low nibble = home-bucket lanes equal to the fingerprint, high nibble =
-// alt bucket), and m1/m2 (the per-slot hit masks of the home and alt
-// bucket for every layout). cp is the batch's compiled predicate.
+// fingerprint broadcast into all four 16-bit lanes, the mask kernel's
+// probe operand), and m1/m2 (the per-slot hit masks of the home and alt
+// bucket). cp is the batch's compiled predicate.
 type probeBatch struct {
 	keys [probeTile]uint64
 	fp   [probeTile]uint16
 	fpw  [probeTile]uint64
 	l1   [probeTile]uint32
 	l2   [probeTile]uint32
-	w1   [probeTile]uint64
-	w2   [probeTile]uint64
-	hits [probeTile]uint8
 	m1   [probeTile]uint8
 	m2   [probeTile]uint8
 	cp   compiledPred
@@ -96,8 +90,8 @@ func (f *Filter) QueryBatchInto(dst []bool, keys []uint64, pred Predicate) []boo
 
 // ContainsBatchInto is the batched QueryKey: one key-membership answer per
 // key, predicate-free, written into dst (grown if its capacity is short).
-// For the packed b=4 layout each answer is the compare kernel's hit byte —
-// no slot work at all. Safe for concurrent readers.
+// For bucket sizes up to simd.MaxSlots each answer is whether the mask
+// pair is nonzero — no slot work at all. Safe for concurrent readers.
 func (f *Filter) ContainsBatchInto(dst []bool, keys []uint64) []bool {
 	out := boolResults(dst, len(keys))
 	if len(keys) == 0 {
@@ -123,6 +117,7 @@ func (f *Filter) QueryBatchIdx(out []bool, keys []uint64, idxs []int32, pred Pre
 		f.maskTile(pb, t)
 		f.queryTile(pb, out, ti, base, t)
 	}
+	pb.cp.pred = nil // the pool must not keep the caller's value lists live
 	probePool.Put(pb)
 }
 
@@ -165,7 +160,7 @@ func sliceIdx(idxs []int32, base, t int) []int32 {
 	return idxs[base : base+t]
 }
 
-// hashTile is phase 1a: the HashFill kernel derives fingerprint, broadcast
+// hashTile is phase 1: the HashFill kernel derives fingerprint, broadcast
 // fingerprint word, home bucket, and alt bucket for every key of the tile.
 // Scatter mode first compacts the tile's keys into pb.keys so the kernel
 // streams a contiguous run either way. The pre-mixed salts cost two Mix64
@@ -185,28 +180,13 @@ func (f *Filter) hashTile(pb *probeBatch, keys []uint64, ti []int32, base, t int
 		pb.fp[:], pb.fpw[:], pb.l1[:], pb.l2[:], t)
 }
 
-// maskTile is phase 1b and the compare of phase 2: the exact per-slot hit
-// masks of both candidate buckets for every key of the tile. The packed
-// layout gathers both bucket words back to back (each load depends only
-// on phase 1a's indexes, never on another load, so the out-of-order core
-// overlaps the misses across the tile, and the hardware kernels prefetch
-// a fixed distance ahead), then splits the CompareHits kernel's hit
-// byte. Other layouts up to maxMaskSlots compare fps in place; their
-// loads are just as independent. Larger buckets get no masks: their
-// resolvers scan.
+// maskTile is phase 2: the MaskSlots kernel writes the exact per-slot
+// hit masks of both candidate buckets for every key of the tile. Larger
+// buckets get no masks: their resolvers scan.
 func (f *Filter) maskTile(pb *probeBatch, t int) {
-	switch {
-	case f.words != nil:
-		simd.GatherWords(f.words, pb.l1[:], pb.l2[:], pb.w1[:], pb.w2[:], t)
-		simd.CompareHits(pb.hits[:], pb.w1[:], pb.w2[:], pb.fpw[:], t)
-		for i := 0; i < t; i++ {
-			pb.m1[i], pb.m2[i] = pb.hits[i]&0x0f, pb.hits[i]>>4
-		}
-	case f.bsz <= maxMaskSlots:
-		for i := 0; i < t; i++ {
-			pb.m1[i] = f.slotMask(pb.l1[i], pb.fpw[i])
-			pb.m2[i] = f.slotMask(pb.l2[i], pb.fpw[i])
-		}
+	if f.bsz <= simd.MaxSlots {
+		simd.MaskSlots(f.fps, f.flags, f.attrs, f.bsz, f.nattr,
+			pb.l1[:], pb.l2[:], pb.fpw[:], pb.m1[:], pb.m2[:], t)
 	}
 }
 
@@ -218,14 +198,14 @@ func outIdx(ti []int32, base, i int) int {
 	return base + i
 }
 
-// queryTile is the rest of phase 2 for the predicate probe: it settles
+// queryTile is the settle phase of the predicate probe: it settles
 // every key of the tile from its first pair's hit masks. An empty mask
 // pair resolves the key with no slot-array access at all (false for
 // every variant: a chained walk with 0 < d copies ends at its first
 // pair); otherwise the masks name exactly the slots to test against the
 // compiled predicate.
 func (f *Filter) queryTile(pb *probeBatch, out []bool, ti []int32, base, t int) {
-	if f.bsz > maxMaskSlots {
+	if f.bsz > simd.MaxSlots {
 		for i := 0; i < t; i++ {
 			out[outIdx(ti, base, i)] = f.queryFp(pb.fp[i], pb.l1[i], pb.cp.pred)
 		}
@@ -269,7 +249,8 @@ func (f *Filter) walkChain(fp uint16, home uint32, cp *compiledPred) bool {
 	fpw := uint64(fp) * laneLo
 	for seq.advance() {
 		l1, l2 := seq.buckets()
-		if ans, done := f.settlePair(l1, l2, f.slotMask(l1, fpw), f.slotMask(l2, fpw), cp); done {
+		m1, m2 := simd.SlotMask(f.fps, f.bsz, l1, fpw), simd.SlotMask(f.fps, f.bsz, l2, fpw)
+		if ans, done := f.settlePair(l1, l2, m1, m2, cp); done {
 			return ans
 		}
 	}
@@ -297,11 +278,11 @@ func (f *Filter) slotsMatch(bucket uint32, mask uint8, cp *compiledPred) bool {
 	return false
 }
 
-// containsTile is the rest of phase 2 for the key-only probe: any hit in
+// containsTile is the settle phase of the key-only probe: any hit in
 // either mask is the whole answer (QueryKey semantics — every variant
 // keeps its key evidence in the first bucket pair, Lemma 2).
 func (f *Filter) containsTile(pb *probeBatch, out []bool, ti []int32, base, t int) {
-	if f.bsz > maxMaskSlots {
+	if f.bsz > simd.MaxSlots {
 		for i := 0; i < t; i++ {
 			fp, l1, l2 := pb.fp[i], pb.l1[i], pb.l2[i]
 			out[outIdx(ti, base, i)] = f.bucketHasFp(l1, fp) || l2 != l1 && f.bucketHasFp(l2, fp)

@@ -3,15 +3,17 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // The batch pipeline must be answer-identical to the scalar probes: it is
 // the same algorithm with its memory accesses rescheduled. These tests
 // differential-check QueryBatchInto/ContainsBatchInto (and their indexed
-// forms) against Query/QueryKey over every variant, both bucket layouts
-// (packed b=4 and the fps-mask b=6 the chained default uses), with
-// duplicate-heavy rows so chains and conversions actually occur.
+// forms) against Query/QueryKey over every variant, at b = 4 and at the
+// b = 6 the chained default uses, with duplicate-heavy rows so chains and
+// conversions actually occur.
 
 func batchTestFilter(t *testing.T, v Variant, bucketSize int) (*Filter, []uint64) {
 	t.Helper()
@@ -170,5 +172,36 @@ func TestQueryBatchEmptyAndSizing(t *testing.T) {
 	out := f.QueryBatchInto(big, keys, nil)
 	if len(out) != 3 || cap(out) != 8192 {
 		t.Fatalf("dst reuse: len=%d cap=%d, want 3/8192", len(out), cap(out))
+	}
+}
+
+// TestBatchProbeDoesNotPinPredicate: the pooled probe scratch must not
+// keep the caller's predicate live once the batch returns, or one large
+// in-list stays in memory until that P probes again or two GCs pass.
+// Under -race the pool drops items at random, so there it only has to
+// pass.
+func TestBatchProbeDoesNotPinPredicate(t *testing.T) {
+	f := mustFilter(t, Params{Variant: VariantChained, NumAttrs: 2, Capacity: 1 << 12, Seed: 3})
+	keys := make([]uint64, 300)
+	for i := range keys {
+		keys[i] = uint64(i)
+		if err := f.Insert(keys[i], []uint64{uint64(i % 9), 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	freed := make(chan struct{})
+	func() {
+		vals := make([]uint64, 1<<16)
+		for i := range vals {
+			vals[i] = uint64(i)
+		}
+		runtime.SetFinalizer(&vals[0], func(*uint64) { close(freed) })
+		f.QueryBatchInto(nil, keys, And(In(0, vals...)))
+	}()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the predicate's values are still reachable after a GC")
 	}
 }

