@@ -55,6 +55,10 @@ GLOBL permEven<>(SB), RODATA, $32
 	VPSRLQ $31, x, t1 \
 	VPXOR  t1, x, x
 
+// The macros of maskSlotsAVX2 below name its arguments; they are defined
+// above every TEXT so that go vet's frame check, which reads a macro
+// body against the TEXT before it, does not match them to hashFillAVX2.
+
 // BUCKET writes the slot mask of the bucket whose index l points at
 // into the byte at m, then prefetches the flags byte and attribute
 // vector of its first hit slot (of slot 0 of the table on a miss, a line
@@ -93,13 +97,12 @@ GLOBL permEven<>(SB), RODATA, $32
 	INCQ R11 \
 	INCQ R12
 
-// AHEAD prefetches the first and last byte of the bucket of the key
-// eight ahead of the one whose bucket index l points at. Trashes AX.
+// AHEAD prefetches the bucket of the key eight ahead of the one whose
+// bucket index l points at. Trashes AX.
 #define AHEAD(l) \
 	MOVL  32(l), AX \
 	IMULQ bsz+24(FP), AX \
-	PREFETCHT0 (SI)(AX*2) \
-	PREFETCHT0 7(DX)(AX*2)
+	PREFETCHT0 (SI)(AX*2)
 
 // func hashFillAVX2(keys *uint64, n int, seedFp, seedIdx, fpMask, idxMask uint64,
 //	altOff *uint32, fp *uint16, fpw *uint64, l1, l2 *uint32)
