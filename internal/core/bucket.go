@@ -20,10 +20,6 @@ import (
 // sketchNone marks a slot that references no arena sketch.
 const sketchNone = int32(-1)
 
-// laneLo broadcasts a 16-bit fingerprint into the four lanes of the word
-// the slot-mask kernels compare against (simd.SlotMask).
-const laneLo = 0x0001_0001_0001_0001
-
 // bucketTable is the packed slot storage of a Filter. Slot idx lives in
 // bucket idx/bsz; its attribute vector occupies attrs[idx*nattr:] and its
 // sketch, if any, is arena[sketch[idx]].

@@ -246,10 +246,9 @@ func (f *Filter) settlePair(l1, l2 uint32, m1, m2 uint8, cp *compiledPred) (ans,
 func (f *Filter) walkChain(fp uint16, home uint32, cp *compiledPred) bool {
 	var seq chainSeq
 	f.initChainSeq(&seq, fp, home)
-	fpw := uint64(fp) * laneLo
 	for seq.advance() {
 		l1, l2 := seq.buckets()
-		m1, m2 := simd.SlotMask(f.fps, f.bsz, l1, fpw), simd.SlotMask(f.fps, f.bsz, l2, fpw)
+		m1, m2 := simd.SlotMask(f.fps, f.bsz, l1, fp), simd.SlotMask(f.fps, f.bsz, l2, fp)
 		if ans, done := f.settlePair(l1, l2, m1, m2, cp); done {
 			return ans
 		}

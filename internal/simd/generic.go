@@ -39,32 +39,32 @@ func load4(s []uint16) uint64 {
 }
 
 // SlotMask returns the exact per-slot hit mask of one bucket of fps, a
-// table of bsz-slot buckets, for the fingerprint broadcast in fpw: bit j
-// is set iff slot j of the bucket holds it. Sizes 4–8 compare two
-// overlapping 4-lane windows, slots 0–3 and bsz−4…bsz−1, which stay
-// inside the bucket and OR together idempotently; smaller sizes scan.
-// bsz must be at most MaxSlots.
-func SlotMask(fps []uint16, bsz int, bucket uint32, fpw uint64) uint8 {
+// table of bsz-slot buckets, for the fingerprint fp: bit j is set iff
+// slot j of the bucket holds it. Sizes 4–8 compare two overlapping
+// 4-lane windows, slots 0–3 and bsz−4…bsz−1, which stay inside the
+// bucket and OR together idempotently; smaller sizes scan. bsz must be
+// at most MaxSlots.
+func SlotMask(fps []uint16, bsz int, bucket uint32, fp uint16) uint8 {
 	base := int(bucket) * bsz
 	s := fps[base : base+bsz]
 	if bsz < 4 {
 		var m uint8
 		for j, v := range s {
-			if v == uint16(fpw) {
+			if v == fp {
 				m |= 1 << j
 			}
 		}
 		return m
 	}
-	hi := bsz - 4
+	hi, fpw := bsz-4, uint64(fp)*laneLo
 	return laneHits(load4(s), fpw) | laneHits(load4(s[hi:]), fpw)<<hi
 }
 
 func maskSlotsGeneric(fps []uint16, flags []uint8, attrs []uint16, bsz, nattr int,
 	l1, l2 []uint32, fpw []uint64, m1, m2 []uint8, n int) {
 	for i := 0; i < n; i++ {
-		m1[i] = SlotMask(fps, bsz, l1[i], fpw[i])
-		m2[i] = SlotMask(fps, bsz, l2[i], fpw[i])
+		m1[i] = SlotMask(fps, bsz, l1[i], uint16(fpw[i]))
+		m2[i] = SlotMask(fps, bsz, l2[i], uint16(fpw[i]))
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // randTable builds a table of m buckets of bsz slots whose fingerprints
-// are drawn from a small alphabet around fp (equal, one off either way,
-// zero) so hits, near-misses and empty slots all occur, with the
-// extremes 1 and 0xFFFF among the probe fingerprints.
+// are fp, one off it either way (the borrow-propagation bait of SWAR
+// compares), random, or zero (empty), so hits, near misses and empty
+// slots all occur.
 func randTable(r *rand.Rand, m, bsz int, fp uint16) []uint16 {
 	fps := make([]uint16, m*bsz)
 	for i := range fps {
