@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -549,6 +550,36 @@ func TestRestoreRouteRejectsCorruptFlags(t *testing.T) {
 				t.Fatal("a refused restore created the filter")
 			}
 		})
+	}
+}
+
+// TestCreateRouteRejectsHugeShardCount: a create whose shard count would
+// allocate gigabytes before the first row is refused with 400, creates no
+// filter, and leaves the server serving.
+func TestCreateRouteRejectsHugeShardCount(t *testing.T) {
+	reg := NewRegistry(0)
+	ts := httptest.NewServer(NewHandler(reg))
+	defer ts.Close()
+	put := func(name, body string) int {
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/filters/"+name, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := put("huge", `{"variant":"chained","shards":100000000,"capacity":1024,"num_attrs":1}`); code != http.StatusBadRequest {
+		t.Fatalf("create with 100000000 shards answered %d, want 400", code)
+	}
+	if _, ok := reg.Get("huge"); ok {
+		t.Fatal("a refused create registered the filter")
+	}
+	if code := put("small", `{"variant":"chained","shards":4,"capacity":1024,"num_attrs":1}`); code != http.StatusCreated {
+		t.Fatalf("create after the refusal answered %d, want 201", code)
 	}
 }
 

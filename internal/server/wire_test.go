@@ -457,21 +457,35 @@ func TestWireRequestsByProtocolMetric(t *testing.T) {
 }
 
 // wireAllocServer builds the fixture for the zero-alloc guards: a
-// volatile filter with rows in it, a server, and a request scratch.
+// volatile filter with rows in it, a server, a request scratch, and
+// 64-key query and insert frames.
 func wireAllocServer(t *testing.T, tracer *trace.Tracer) (*Server, *Entry, *reqScratch, []byte, []byte) {
 	t.Helper()
 	reg, e := testRegistry(t)
 	insertRows(t, e, 4096)
 	s := NewServer(reg, HandlerOptions{Tracer: tracer})
-	keys := make([]uint64, 64)
+	keys := presentKeys(64)
 	flat := make([]uint64, 0, 128)
 	for i := range keys {
-		keys[i] = uint64(i)*2654435761 + 5 // present keys
 		flat = append(flat, uint64(i%4), uint64(i%6))
 	}
-	qframe := wire.AppendQuery(nil, "movies", []wire.Cond{{Attr: 0, Values: []uint64{1, 2}}}, keys, false)
 	iframe := wire.AppendInsert(nil, "movies", keys, flat, 2)
-	return s, e, new(reqScratch), qframe, iframe
+	return s, e, new(reqScratch), allocQueryFrame(64), iframe
+}
+
+// presentKeys returns the first n keys insertRows inserts.
+func presentKeys(n int) []uint64 {
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(i)*2654435761 + 5
+	}
+	return keys
+}
+
+// allocQueryFrame is a query frame probing n present keys under a
+// one-condition predicate.
+func allocQueryFrame(n int) []byte {
+	return wire.AppendQuery(nil, "movies", []wire.Cond{{Attr: 0, Values: []uint64{1, 2}}}, presentKeys(n), false)
 }
 
 // roundTrip runs one decode→core→encode cycle exactly as the TCP loop
@@ -495,7 +509,9 @@ func roundTrip(t *testing.T, s *Server, ws *reqScratch, frame []byte, tr *trace.
 
 // TestWireZeroAllocRoundTrip is the acceptance guard: the wire
 // decode→request core→encode round trip runs at 0 allocs/op
-// steady-state, with tracing sampled off and sampled on.
+// steady-state, with tracing sampled off and sampled on. query1024 is
+// the batch size of the pushdown workload on the 4-shard filter built
+// with default options.
 func TestWireZeroAllocRoundTrip(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -508,18 +524,23 @@ func TestWireZeroAllocRoundTrip(t *testing.T) {
 		{"sampled", trace.New(trace.Options{SampleEvery: 1, Recorder: trace.NewRecorder(16, 16)})},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name+"/query", func(t *testing.T) {
-			s, _, ws, qframe, _ := wireAllocServer(t, tc.tracer)
-			run := func() {
-				tr := tc.tracer.StartRequest("")
-				roundTrip(t, s, ws, qframe, tr)
-				tc.tracer.Finish(tr, http.StatusOK)
-			}
-			run() // warm scratch and pools
-			if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-				t.Fatalf("query round trip allocates %.1f/op, want 0", allocs)
-			}
-		})
+		for _, q := range []struct {
+			name  string
+			frame []byte
+		}{{"query", allocQueryFrame(64)}, {"query1024", allocQueryFrame(1024)}} {
+			t.Run(tc.name+"/"+q.name, func(t *testing.T) {
+				s, _, ws, _, _ := wireAllocServer(t, tc.tracer)
+				run := func() {
+					tr := tc.tracer.StartRequest("")
+					roundTrip(t, s, ws, q.frame, tr)
+					tc.tracer.Finish(tr, http.StatusOK)
+				}
+				run() // warm scratch and pools
+				if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+					t.Fatalf("%s round trip allocates %.1f/op, want 0", q.name, allocs)
+				}
+			})
+		}
 		t.Run(tc.name+"/insert", func(t *testing.T) {
 			s, _, ws, _, iframe := wireAllocServer(t, tc.tracer)
 			run := func() {

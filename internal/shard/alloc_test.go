@@ -14,8 +14,9 @@ import (
 // These tests pin the serving path's allocation discipline: a batch probe
 // through the sharded filter must not allocate in steady state when the
 // caller recycles its result buffer via the *Into entry points. The
-// grouping scratch cycles through a pool; the single-worker grouped path
-// runs with direct method calls, no closures and no goroutines.
+// grouping scratch cycles through a pool; the grouped query path runs
+// with direct method calls, no closures and no goroutines, at any batch
+// size and worker count.
 
 func loadedSharded(t testing.TB, shards int) (*ShardedFilter, []uint64) {
 	t.Helper()
@@ -25,15 +26,22 @@ func loadedSharded(t testing.TB, shards int) (*ShardedFilter, []uint64) {
 // loadedShardedBits is loadedSharded with AttrBits set (0 = the default).
 func loadedShardedBits(t testing.TB, shards, attrBits int) (*ShardedFilter, []uint64) {
 	t.Helper()
-	s, err := New(Options{
+	return loadedOpts(t, Options{
 		Shards:  shards,
 		Workers: 1,
 		Params:  core.Params{NumAttrs: 2, Capacity: 1 << 14, AttrBits: attrBits, Seed: 5},
-	})
+	}, 1<<13)
+}
+
+// loadedOpts builds a sharded filter from opts and inserts the first
+// rows rows of mkRows.
+func loadedOpts(t testing.TB, opts Options, rows int) (*ShardedFilter, []uint64) {
+	t.Helper()
+	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, attrs := mkRows(1 << 13)
+	keys, attrs := mkRows(rows)
 	for _, err := range s.InsertBatch(keys, attrs) {
 		if err != nil {
 			t.Fatal(err)
@@ -46,8 +54,17 @@ func TestQueryBatchIntoSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; alloc counts are meaningless")
 	}
-	for _, shards := range []int{1, 4} {
-		s, keys := loadedSharded(t, shards)
+	params := core.Params{NumAttrs: 2, Capacity: 1 << 14, Seed: 5}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"shards=1", Options{Shards: 1, Workers: 1, Params: params}},
+		{"shards=4", Options{Shards: 4, Workers: 1, Params: params}},
+		// The filter ccfd builds: default Options, so Workers is GOMAXPROCS.
+		{"shards=4/default-workers", Options{Shards: 4, Params: params}},
+	} {
+		s, keys := loadedOpts(t, tc.opts, 1<<13)
 		pred := core.And(core.Eq(0, 3))
 		batch := keys[:1024]
 		dst := make([]bool, 0, len(batch))
@@ -55,7 +72,7 @@ func TestQueryBatchIntoSteadyStateZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(200, func() {
 			dst = s.QueryBatchInto(dst[:0], batch, pred)
 		}); n != 0 {
-			t.Errorf("shards=%d: QueryBatchInto allocates %.2f allocs/op, want 0", shards, n)
+			t.Errorf("%s: QueryBatchInto allocates %.2f allocs/op, want 0", tc.name, n)
 		}
 	}
 }
@@ -159,6 +176,10 @@ func TestInsertBatchIntoSteadyStateZeroAlloc(t *testing.T) {
 
 // BenchmarkShardedQueryBatch is the committed serving-path benchmark: the
 // batched sharded probe with a recycled result buffer, reported per key.
+// The shards=N cases probe a cache-resident table from one goroutine;
+// serving is the shape ccfd serves: 4 shards built with default Options,
+// a chained table out of L2, and 1024-key batches from two clients at
+// once.
 func BenchmarkShardedQueryBatch(b *testing.B) {
 	for _, shards := range []int{1, 4, 16} {
 		b.Run(map[int]string{1: "shards=1", 4: "shards=4", 16: "shards=16"}[shards], func(b *testing.B) {
@@ -179,6 +200,35 @@ func BenchmarkShardedQueryBatch(b *testing.B) {
 			}
 		})
 	}
+	b.Run("serving", func(b *testing.B) {
+		s, keys := loadedOpts(b, Options{
+			Shards: 4,
+			Params: core.Params{Variant: core.VariantChained, NumAttrs: 2, Capacity: 1 << 20, Seed: 5},
+		}, 1<<19)
+		pred := core.And(core.Eq(0, 3))
+		const batch = 1024
+		// Two clients even on a one-core runner: RunParallel spawns
+		// GOMAXPROCS·p goroutines.
+		if p := 2 / runtime.GOMAXPROCS(0); p > 1 {
+			b.SetParallelism(p)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var client atomic.Int64
+		b.RunParallel(func(pb *testing.PB) {
+			i := int(client.Add(1)) * 7919
+			dst := make([]bool, 0, batch)
+			for ; pb.Next(); i++ {
+				lo := (i * batch) % (len(keys) - batch)
+				dst = s.QueryBatchInto(dst[:0], keys[lo:lo+batch], pred)
+			}
+		})
+		b.StopTimer()
+		if b.Elapsed() > 0 {
+			nsPerKey := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / batch
+			b.ReportMetric(nsPerKey, "ns/key")
+		}
+	})
 }
 
 // BenchmarkShardedQueryBatchContended runs the read-heavy contended shape

@@ -19,11 +19,15 @@
 // The batch entry points (InsertBatch, QueryBatch) group a request by shard
 // first and enter each shard once per batch, not once per key, probing
 // through core's batched two-phase pipeline (hash + overlapped bucket
-// loads, then SWAR compares); with Options.Workers > 0 the per-shard groups
-// are processed by a worker pool. This is the deployment shape the paper
-// targets (§3): filters built once, shipped to query processors, and probed
-// at high rate during predicate pushdown, where per-key call overhead and
-// serialized cache misses dominate unbatched designs.
+// loads, then SWAR compares). A batch query runs its shard groups in
+// order on the calling goroutine: its parallelism is the overlapped
+// memory misses inside each group, and a server gets more by serving
+// connections concurrently. Only batch inserts of 512 rows or more spread
+// their groups over up to Options.Workers goroutines. This is the
+// deployment shape the paper targets (§3): filters built once, shipped to
+// query processors, and probed at high rate during predicate pushdown,
+// where per-key call overhead and serialized cache misses dominate
+// unbatched designs.
 package shard
 
 import (
@@ -48,6 +52,11 @@ const saltShard = 0x9009
 // snapshotMagic begins a sharded snapshot ("CCFS").
 const snapshotMagic = 0x53464343
 
+// maxShards bounds Options.Shards. Every shard costs memory before it
+// holds a row (about 17 KB empty), so New refuses larger counts instead of
+// letting one request size the process out of memory.
+const maxShards = 1024
+
 // Errors returned by the sharded batch operations.
 var (
 	// ErrBatchShape reports keys and attrs slices of different lengths.
@@ -66,8 +75,9 @@ type Options struct {
 	// fixed-size, so ErrFull surfaces exactly as before; a larger budget
 	// lets a shard open doubled levels instead of failing inserts.
 	AutoGrow core.LadderOptions
-	// Workers bounds the goroutines used by batch operations. 0 means
-	// GOMAXPROCS; 1 runs batches entirely on the calling goroutine.
+	// Workers bounds the goroutines used by batch inserts. 0 means
+	// GOMAXPROCS; 1 runs inserts entirely on the calling goroutine. Batch
+	// queries always run on the calling goroutine.
 	Workers int
 	// PessimisticReads disables the optimistic seqlock read path: every
 	// read takes the shard read lock, the pre-seqlock behavior. It exists
@@ -150,8 +160,8 @@ func New(opts Options) (*ShardedFilter, error) {
 	if n == 0 {
 		n = 1
 	}
-	if n < 1 {
-		return nil, fmt.Errorf("shard: invalid shard count %d", n)
+	if n < 1 || n > maxShards {
+		return nil, fmt.Errorf("shard: invalid shard count %d (want 1 to %d)", n, maxShards)
 	}
 	p := opts.Params
 	if p.Buckets != 0 {
@@ -205,19 +215,24 @@ func (s *ShardedFilter) Version() uint64 { return s.version.Load() }
 // check.
 func (s *ShardedFilter) SetPessimisticReads(v bool) { s.pessimistic.Store(v) }
 
-// router is an immutable snapshot of the key→shard routing function.
-// Operations (and extracted key-views) capture one up front so routing
-// stays self-consistent even if Restore swaps the seed mid-flight.
+// router is an immutable snapshot of the key→shard routing function,
+// hashing.Key64(key, seed^saltShard) % n. Operations (and extracted
+// key-views) capture one up front so routing stays self-consistent even
+// if Restore swaps the seed mid-flight.
 type router struct {
-	seed uint64
+	salt uint64 // hashing.Salt(seed ^ saltShard), hoisted out of every key's hash
 	n    int
+}
+
+func newRouter(seed uint64, n int) router {
+	return router{salt: hashing.Salt(seed ^ saltShard), n: n}
 }
 
 func (r router) shardOf(key uint64) int {
 	if r.n == 1 {
 		return 0
 	}
-	return int(hashing.Key64(key, r.seed^saltShard) % uint64(r.n))
+	return int(hashing.Mix64(key^r.salt) % uint64(r.n))
 }
 
 // batchScratch holds the reusable grouping buffers of one batch
@@ -229,7 +244,7 @@ type batchScratch struct {
 	order  []int32
 	start  []int32
 	groups []int32
-	// stale is the batch's Restore-race flag. It lives in the pooled
+	// stale is a batch insert's Restore-race flag. It lives in the pooled
 	// scratch (not a local) so the parallel fan-out closure captures only
 	// read-only values and the caller's frame stays heap-free.
 	stale atomic.Bool
@@ -248,36 +263,40 @@ func i32buf(buf []int32, n int) []int32 {
 
 // group builds a counting-sort permutation of keys by shard into the
 // scratch buffers: sc.order lists key indexes grouped by shard, and
-// sc.start[i]:sc.start[i+1] bounds shard i's span.
+// sc.start[i]:sc.start[i+1] bounds shard i's span. It assigns exactly what
+// shardOf does; a power-of-two shard count takes the remainder as a mask.
 func (r router) group(keys []uint64, sc *batchScratch) (order, start []int32) {
-	sc.shards = i32buf(sc.shards, len(keys))
-	sc.counts = i32buf(sc.counts, r.n+1)
-	for i := range sc.counts {
-		sc.counts[i] = 0
-	}
+	n, salt := r.n, r.salt
+	shards := i32buf(sc.shards, len(keys))
+	counts := i32buf(sc.counts, n+1)
+	clear(counts)
+	pow2, mask := n&(n-1) == 0, uint64(n-1)
 	for i, k := range keys {
-		sh := int32(r.shardOf(k))
-		sc.shards[i] = sh
-		sc.counts[sh+1]++
+		h := hashing.Mix64(k ^ salt)
+		if pow2 {
+			h &= mask
+		} else {
+			h %= uint64(n)
+		}
+		shards[i] = int32(h)
+		counts[h+1]++
 	}
-	for i := 0; i < r.n; i++ {
-		sc.counts[i+1] += sc.counts[i]
+	for i := 0; i < n; i++ {
+		counts[i+1] += counts[i]
 	}
-	sc.start = i32buf(sc.start, r.n+1)
-	copy(sc.start, sc.counts)
-	sc.order = i32buf(sc.order, len(keys))
-	for i := range keys {
-		sh := sc.shards[i]
-		sc.order[sc.counts[sh]] = int32(i)
-		sc.counts[sh]++
+	start = i32buf(sc.start, n+1)
+	copy(start, counts)
+	order = i32buf(sc.order, len(keys))
+	for i, sh := range shards {
+		order[counts[sh]] = int32(i)
+		counts[sh]++
 	}
-	return sc.order, sc.start
+	sc.shards, sc.counts, sc.start, sc.order = shards, counts, start, order
+	return order, start
 }
 
 // router returns the current routing snapshot.
-func (s *ShardedFilter) router() router {
-	return router{seed: s.seed.Load(), n: len(s.cells)}
-}
+func (s *ShardedFilter) router() router { return newRouter(s.seed.Load(), len(s.cells)) }
 
 // shardOf routes a key to its shard under the current routing.
 func (s *ShardedFilter) shardOf(key uint64) int { return s.router().shardOf(key) }
@@ -460,17 +479,17 @@ func (s *ShardedFilter) QueryKey(key uint64) bool {
 	return ok
 }
 
-// minKeysPerWorker bounds worker-pool fan-out: spawning a goroutine costs
-// a few microseconds, so it only pays once a worker has a few hundred
-// ~100ns probes to amortize it over. Smaller batches run inline — the
+// minKeysPerWorker bounds batch-insert fan-out: spawning a goroutine
+// costs a few microseconds, so it only pays once a worker has a few
+// hundred inserts to amortize it over. Smaller batches run inline — the
 // right shape for servers whose request handlers are already concurrent.
 const minKeysPerWorker = 512
 
-// groupWorkers stages the non-empty shard groups in sc.groups and returns
-// how many workers the grouped spans justify. Callers run the groups
-// inline when the answer is ≤ 1 — with direct method calls, so the
-// steady-state batch path creates no closures or goroutines — and fan out
-// to runGroupsParallel otherwise.
+// groupWorkers stages the non-empty shard groups of a batch insert in
+// sc.groups and returns how many workers the grouped spans justify. The
+// caller runs the groups inline when the answer is ≤ 1 — with direct
+// method calls, so the steady-state batch path creates no closures or
+// goroutines — and fans out to runGroupsParallel otherwise.
 func groupWorkers(workers int, sc *batchScratch) int {
 	start := sc.start
 	sc.groups = sc.groups[:0]
@@ -489,9 +508,9 @@ func groupWorkers(workers int, sc *batchScratch) int {
 	return w
 }
 
-// runGroupsParallel runs fn once per staged shard group on a pool of w
-// workers (w ≥ 2, from groupWorkers). fn receives the shard index and the
-// key indexes routed to it.
+// runGroupsParallel runs fn once per staged shard group of a batch insert
+// on a pool of w workers (w ≥ 2, from groupWorkers). fn receives the shard
+// index and the key indexes routed to it.
 func runGroupsParallel(w int, sc *batchScratch, fn func(sh int, idxs []int32)) {
 	order, start := sc.order, sc.start
 	ch := make(chan int)
@@ -647,8 +666,9 @@ func (s *ShardedFilter) QueryBatchInto(dst []bool, keys []uint64, pred core.Pred
 // one membership query per key under pred, writing results into dst
 // (grown if its capacity is short), grouping keys by shard and probing
 // each shard's span in one seqlock read section through the ladder's
-// batch walker. A nil or empty pred is key membership: it answers
-// exactly what QueryKey answers (see core.Ladder.QueryBatchIdxWalk).
+// batch walker. The groups run in shard order on the calling goroutine,
+// whatever the batch size. A nil or empty pred is key membership: it
+// answers exactly what QueryKey answers (see core.Ladder.QueryBatchIdxWalk).
 //
 // The predicate is validated once per shard group — inside the same
 // read section as the probes, so a concurrent Restore cannot change
@@ -660,7 +680,7 @@ func (s *ShardedFilter) QueryBatchInto(dst []bool, keys []uint64, pred core.Pred
 // tr, when non-nil, receives one shard_probe span per shard group (nil
 // probes untraced — the branch is the only cost, preserving the
 // zero-alloc guarantee either way). ctx is checked before each routing
-// attempt and between sequential shard groups; on cancellation the
+// attempt and between shard groups; on cancellation the
 // batch returns ctx's error with the results produced so far (partial —
 // callers must not serve them). A nil ctx (or one that never expires)
 // costs one nil check per group, keeping the un-deadlined hot path
@@ -683,9 +703,7 @@ func (s *ShardedFilter) QueryBatchContext(ctx context.Context, dst []bool, keys 
 		gen := s.gen.Load()
 		rt := s.router()
 		if rt.n == 1 {
-			var stale atomic.Bool
-			s.queryShardGroup(0, nil, keys, pred, out, gen, &stale, tr)
-			if !stale.Load() {
+			if s.queryShardGroup(0, nil, keys, pred, out, gen, tr) {
 				return out, nil
 			}
 			continue
@@ -701,33 +719,24 @@ func (s *ShardedFilter) QueryBatchContext(ctx context.Context, dst []bool, keys 
 }
 
 // queryGrouped answers a multi-shard batch query under one grouping pass,
-// reporting false when a racing Restore invalidated the routing and the
-// batch must retry. Like insertGrouped, the single-worker path uses
-// direct method calls and the parallel closure captures only read-only
-// parameters, so steady-state grouped probes allocate nothing.
+// running the non-empty shard groups in order with direct method calls,
+// so steady-state grouped probes allocate nothing. It reports false when
+// a racing Restore invalidated the routing and the batch must retry.
 func (s *ShardedFilter) queryGrouped(ctx context.Context, rt router, keys []uint64, pred core.Predicate,
 	out []bool, gen uint64, tr *trace.Req) (bool, error) {
 	sc := scratchPool.Get().(*batchScratch)
-	sc.stale.Store(false)
-	rt.group(keys, sc)
+	order, start := rt.group(keys, sc)
+	done := true
 	var err error
-	if w := groupWorkers(s.workers, sc); w <= 1 {
-		for _, sh := range sc.groups {
-			if err = ctxErr(ctx); err != nil {
-				break // cancellation checkpoint between sequential groups
-			}
-			s.queryShardGroup(int(sh), sc.order[sc.start[sh]:sc.start[sh+1]],
-				keys, pred, out, gen, &sc.stale, tr)
+	for sh := 0; sh < rt.n && done; sh++ {
+		if start[sh] == start[sh+1] {
+			continue
 		}
-	} else {
-		// Parallel groups run to completion: the fan-out is bounded by the
-		// worker budget and each group is short, so checking only before
-		// the launch keeps the workers free of cross-goroutine ctx traffic.
-		runGroupsParallel(w, sc, func(sh int, idxs []int32) {
-			s.queryShardGroup(sh, idxs, keys, pred, out, gen, &sc.stale, tr)
-		})
+		if err = ctxErr(ctx); err != nil {
+			break
+		}
+		done = s.queryShardGroup(sh, order[start[sh]:start[sh+1]], keys, pred, out, gen, tr)
 	}
-	done := !sc.stale.Load()
 	scratchPool.Put(sc)
 	return done, err
 }
@@ -754,9 +763,11 @@ func ctxErr(ctx context.Context) error {
 // all true, matching Query's conservative no-false-negatives contract.
 // The probe body is idempotent (it assigns into out), so a seqlock retry
 // simply overwrites the discarded attempt. Untraced (tr nil), the span
-// calls are no-ops and the walk depth goes unreported.
+// calls are no-ops and the walk depth goes unreported. It reports false
+// when a Restore completed after gen was captured and the batch must
+// re-route.
 func (s *ShardedFilter) queryShardGroup(sh int, idxs []int32, keys []uint64,
-	pred core.Predicate, out []bool, gen uint64, stale *atomic.Bool, tr *trace.Req) {
+	pred core.Predicate, out []bool, gen uint64, tr *trace.Req) bool {
 	sp := tr.Start(trace.PhaseShardProbe)
 	var pc probeCount
 	var walked int
@@ -778,9 +789,7 @@ func (s *ShardedFilter) queryShardGroup(sh int, idxs []int32, keys []uint64,
 		Attr(trace.AttrSeqlockFallback, int64(pc.fallbacks)).
 		Attr(trace.AttrLevels, int64(walked)).
 		End()
-	if !ok {
-		stale.Store(true)
-	}
+	return ok
 }
 
 // markTrue sets out true for the addressed keys (whole batch when idxs
@@ -822,7 +831,7 @@ func (s *ShardedFilter) PredicateFilter(pred core.Predicate) (*KeyView, error) {
 		}
 		views[i] = v
 	}
-	return &KeyView{rt: rt, workers: s.workers, views: views}, nil
+	return &KeyView{rt: rt, views: views}, nil
 }
 
 // Freeze snapshots every shard into its immutable bit-packed form

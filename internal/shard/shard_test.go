@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"ccf/internal/core"
+	"ccf/internal/hashing"
 )
 
 func mkRows(n int) (keys []uint64, attrs [][]uint64) {
@@ -101,6 +104,62 @@ func TestShardingSpreadsKeys(t *testing.T) {
 		if load == 0 {
 			t.Fatalf("shard %d received no keys", i)
 		}
+	}
+}
+
+// TestRouterMatchesKey64 pins the routing function every snapshot,
+// checkpoint and WAL record was written under: router.group and
+// router.shardOf send key k to hashing.Key64(k, seed^saltShard) % n, for
+// power-of-two and other shard counts alike, and group lists each
+// shard's keys in input order. One scratch serves every count, so the
+// buffers are reused across sizes.
+func TestRouterMatchesKey64(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]uint64, 3000)
+	for i := range keys {
+		keys[i] = rng.Uint64()
+	}
+	keys[0], keys[1], keys[2] = 0, 1, math.MaxUint64
+	var sc batchScratch
+	for _, seed := range []uint64{0, 42, saltShard, 1<<63 | 5} {
+		for _, n := range []int{1, 2, 3, 4, 5, 8, 16, 17} {
+			rt := newRouter(seed, n)
+			order, start := rt.group(keys, &sc)
+			if len(order) != len(keys) || len(start) != n+1 || start[0] != 0 || int(start[n]) != len(keys) {
+				t.Fatalf("seed %#x n=%d: %d order entries, start %v", seed, n, len(order), start)
+			}
+			seen := make([]bool, len(keys))
+			for sh := 0; sh < n; sh++ {
+				prev := int32(-1)
+				for _, i := range order[start[sh]:start[sh+1]] {
+					if i <= prev || seen[i] {
+						t.Fatalf("seed %#x n=%d: shard %d lists key %d out of order or twice", seed, n, sh, i)
+					}
+					prev, seen[i] = i, true
+					want := int(hashing.Key64(keys[i], seed^saltShard) % uint64(n))
+					if sh != want || rt.shardOf(keys[i]) != want {
+						t.Fatalf("seed %#x n=%d: key %#x grouped to %d, shardOf %d, want %d",
+							seed, n, keys[i], sh, rt.shardOf(keys[i]), want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNewRejectsTooManyShards: New allocates every shard before it holds a
+// row, so a count past maxShards is refused up front instead of sizing the
+// process out of memory.
+func TestNewRejectsTooManyShards(t *testing.T) {
+	p := core.Params{NumAttrs: 1, Capacity: 1024}
+	for _, n := range []int{-1, maxShards + 1, 100_000_000} {
+		if s, err := New(Options{Shards: n, Params: p}); err == nil {
+			t.Fatalf("New(Shards: %d) built %d shards, want an error", n, s.Shards())
+		}
+	}
+	s, err := New(Options{Shards: maxShards, Params: p})
+	if err != nil || s.Shards() != maxShards {
+		t.Fatalf("New(Shards: %d): err %v", maxShards, err)
 	}
 }
 

@@ -9,9 +9,8 @@ import "ccf/internal/core"
 // simply does not reflect them — callers that need freshness compare
 // ShardedFilter.Version (see internal/server's cache).
 type KeyView struct {
-	rt      router
-	workers int
-	views   []*core.LadderKeyView
+	rt    router
+	views []*core.LadderKeyView
 }
 
 // Contains reports whether key may have a row satisfying the view's
@@ -31,7 +30,8 @@ func (v *KeyView) ContainsBatch(keys []uint64) []bool {
 
 // ContainsBatchInto is ContainsBatch writing results into dst (grown if
 // its capacity is short), using the pooled grouping scratch so repeated
-// view probes allocate nothing beyond a reused result buffer.
+// view probes allocate nothing beyond a reused result buffer. The shard
+// groups run in order on the calling goroutine.
 func (v *KeyView) ContainsBatchInto(dst []bool, keys []uint64) []bool {
 	out := dst
 	if cap(out) < len(keys) {
@@ -49,32 +49,15 @@ func (v *KeyView) ContainsBatchInto(dst []bool, keys []uint64) []bool {
 		}
 		return out
 	}
-	v.containsGrouped(keys, out)
-	return out
-}
-
-// containsGrouped fans a batch over the per-shard views. The
-// single-worker path runs inline; the parallel closure captures only
-// read-only parameters, keeping ContainsBatchInto's frame heap-free.
-func (v *KeyView) containsGrouped(keys []uint64, out []bool) {
 	sc := scratchPool.Get().(*batchScratch)
-	v.rt.group(keys, sc)
-	if w := groupWorkers(v.workers, sc); w <= 1 {
-		for _, sh := range sc.groups {
-			kv := v.views[sh]
-			for _, i := range sc.order[sc.start[sh]:sc.start[sh+1]] {
-				out[i] = kv.Contains(keys[i])
-			}
+	order, start := v.rt.group(keys, sc)
+	for sh, kv := range v.views {
+		for _, i := range order[start[sh]:start[sh+1]] {
+			out[i] = kv.Contains(keys[i])
 		}
-	} else {
-		runGroupsParallel(w, sc, func(sh int, idxs []int32) {
-			kv := v.views[sh]
-			for _, i := range idxs {
-				out[i] = kv.Contains(keys[i])
-			}
-		})
 	}
 	scratchPool.Put(sc)
+	return out
 }
 
 // SizeBits returns the total packed size of the per-shard views.

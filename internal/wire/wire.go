@@ -453,7 +453,8 @@ func DecodeInsert(sc *Scratch, payload []byte) (*Insert, error) {
 }
 
 // AppendResult appends a complete OpResult frame: the per-key outcomes
-// packed 1 bit per key, LSB-first within each byte.
+// packed 1 bit per key, LSB-first within each byte, with the last byte's
+// unused bits zero.
 func AppendResult(dst []byte, results []bool, viaView, cacheHit bool) []byte {
 	start := len(dst)
 	dst = append(dst, make([]byte, HeaderSize)...)
@@ -467,19 +468,19 @@ func AppendResult(dst []byte, results []bool, viaView, cacheHit bool) []byte {
 	}
 	dst = append(dst, flags)
 	dst = binary.AppendUvarint(dst, uint64(len(results)))
-	var acc byte
-	var nbits int
-	for _, r := range results {
-		if r {
-			acc |= 1 << nbits
-		}
-		if nbits++; nbits == 8 {
-			dst = append(dst, acc)
-			acc, nbits = 0, 0
-		}
+	off := len(dst)
+	dst = append(dst, make([]byte, (len(results)+7)/8)...)
+	bm := dst[off:]
+	// A bool is one byte holding 0 or 1. Read 8 of them as a little-endian
+	// word; the multiply moves byte i's low bit to bit 56+i and nothing
+	// else into the top byte, so each byte of results packs without a
+	// branch.
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(results))), len(results))
+	for ; len(b) >= 8; b, bm = b[8:], bm[1:] {
+		bm[0] = byte((binary.LittleEndian.Uint64(b) * 0x0102040810204080) >> 56)
 	}
-	if nbits > 0 {
-		dst = append(dst, acc)
+	for i, r := range b {
+		bm[0] |= r << i
 	}
 	PutHeader(dst[start:], OpResult, len(dst)-pstart)
 	return dst

@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"testing"
 )
 
@@ -88,29 +90,69 @@ func TestInsertRoundTrip(t *testing.T) {
 	}
 }
 
+// appendResultRef is the one-bit-at-a-time reference encoding of a
+// result frame that AppendResult must reproduce byte for byte.
+func appendResultRef(dst []byte, results []bool, viaView bool) []byte {
+	var flags byte
+	if viaView {
+		flags = resultFlagViaView
+	}
+	payload := binary.AppendUvarint([]byte{flags}, uint64(len(results)))
+	bm := make([]byte, (len(results)+7)/8)
+	for i, r := range results {
+		if r {
+			bm[i/8] |= 1 << (i % 8)
+		}
+	}
+	payload = append(payload, bm...)
+	hdr := make([]byte, HeaderSize)
+	PutHeader(hdr, OpResult, len(payload))
+	return append(append(dst, hdr...), payload...)
+}
+
 func TestResultRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 8, 9, 64, 1000} {
-		results := make([]bool, n)
-		for i := range results {
-			results[i] = i%3 == 0
-		}
-		frame := AppendResult(nil, results, true, false)
-		var buf Buffer
-		op, payload, err := ReadFrame(bytes.NewReader(frame), &buf, 0)
-		if err != nil || op != OpResult {
-			t.Fatalf("n=%d: op=%v err=%v", n, op, err)
-		}
-		r, err := DecodeResult(payload)
-		if err != nil {
-			t.Fatalf("n=%d: DecodeResult: %v", n, err)
-		}
-		if r.N != n || !r.ViaView || r.CacheHit {
-			t.Fatalf("n=%d: N=%d flags=%v/%v", n, r.N, r.ViaView, r.CacheHit)
-		}
-		got := r.Expand(nil)
-		for i := range results {
-			if got[i] != results[i] {
-				t.Fatalf("n=%d: bit %d = %v", n, i, got[i])
+	rng := rand.New(rand.NewSource(1))
+	sizes := []int{1000}
+	for n := 0; n <= 130; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		for _, pattern := range []string{"random", "true", "false", "thirds"} {
+			// Offset by one byte so the 8-byte loads are unaligned.
+			results := make([]bool, n+1)[1:]
+			for i := range results {
+				switch pattern {
+				case "random":
+					results[i] = rng.Intn(2) == 1
+				case "true":
+					results[i] = true
+				case "thirds":
+					results[i] = i%3 == 0
+				}
+			}
+			prefix := []byte("prefix")
+			frame := AppendResult(bytes.Clone(prefix), results, true, false)
+			if want := appendResultRef(bytes.Clone(prefix), results, true); !bytes.Equal(frame, want) {
+				t.Fatalf("n=%d %s: frame\n%x\nwant\n%x", n, pattern, frame, want)
+			}
+			frame = frame[len(prefix):]
+			var buf Buffer
+			op, payload, err := ReadFrame(bytes.NewReader(frame), &buf, 0)
+			if err != nil || op != OpResult {
+				t.Fatalf("n=%d %s: op=%v err=%v", n, pattern, op, err)
+			}
+			r, err := DecodeResult(payload)
+			if err != nil {
+				t.Fatalf("n=%d %s: DecodeResult: %v", n, pattern, err)
+			}
+			if r.N != n || !r.ViaView || r.CacheHit {
+				t.Fatalf("n=%d %s: N=%d flags=%v/%v", n, pattern, r.N, r.ViaView, r.CacheHit)
+			}
+			got := r.Expand(nil)
+			for i := range results {
+				if got[i] != results[i] {
+					t.Fatalf("n=%d %s: bit %d = %v", n, pattern, i, got[i])
+				}
 			}
 		}
 	}
