@@ -54,10 +54,12 @@ type HandlerOptions struct {
 	Admission AdmissionOptions
 }
 
-// CreateRequest is the body of PUT /filters/{name}. AutoGrow, when
-// present, enables elastic capacity for the filter (zero-valued fields
-// take the policy defaults); absent, the server's default policy (the
-// -auto-grow flag) applies, if any.
+// CreateRequest is the body of PUT /filters/{name}. Shards takes 1 to
+// 1024 (0 means 1). Workers bounds the goroutines one batch insert fans
+// out to (see shard.Options.Workers); batch queries run on the request's
+// goroutine. AutoGrow, when present, enables elastic capacity for the
+// filter (zero-valued fields take the policy defaults); absent, the
+// server's default policy (the -auto-grow flag) applies, if any.
 type CreateRequest struct {
 	Variant  string          `json:"variant"` // plain | chained | bloom | mixed
 	Shards   int             `json:"shards"`

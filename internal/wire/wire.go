@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -468,9 +469,10 @@ func AppendResult(dst []byte, results []bool, viaView, cacheHit bool) []byte {
 	}
 	dst = append(dst, flags)
 	dst = binary.AppendUvarint(dst, uint64(len(results)))
-	off := len(dst)
-	dst = append(dst, make([]byte, (len(results)+7)/8)...)
-	bm := dst[off:]
+	nb := (len(results) + 7) / 8
+	dst = slices.Grow(dst, nb)
+	bm := dst[len(dst) : len(dst)+nb]
+	dst = dst[:len(dst)+nb]
 	// A bool is one byte holding 0 or 1. Read 8 of them as a little-endian
 	// word; the multiply moves byte i's low bit to bit 56+i and nothing
 	// else into the top byte, so each byte of results packs without a
@@ -479,8 +481,12 @@ func AppendResult(dst []byte, results []bool, viaView, cacheHit bool) []byte {
 	for ; len(b) >= 8; b, bm = b[8:], bm[1:] {
 		bm[0] = byte((binary.LittleEndian.Uint64(b) * 0x0102040810204080) >> 56)
 	}
-	for i, r := range b {
-		bm[0] |= r << i
+	if len(b) > 0 {
+		var last byte
+		for i, r := range b {
+			last |= r << i
+		}
+		bm[0] = last
 	}
 	PutHeader(dst[start:], OpResult, len(dst)-pstart)
 	return dst
