@@ -235,8 +235,9 @@ func TestCrashRecoveryMidGrowSIGKILL(t *testing.T) {
 		}(wtr)
 	}
 
-	// Kill only once the ladder has visibly grown (stats are served
-	// through the seqlock, so polling doesn't stall the writers).
+	// Kill only once the ladder has visibly grown (stats read one shard
+	// at a time under its read lock, so polling barely holds up the
+	// writers).
 	deadline := time.Now().Add(20 * time.Second)
 	grown := false
 	for time.Now().Before(deadline) && !grown {

@@ -32,7 +32,7 @@
 // /healthz is pure liveness (200 as soon as the listener is up);
 // /readyz answers 503 until store recovery completes, then reports the
 // unrecoverable-filter count. /metrics serves the Prometheus text
-// exposition — request/latency series per endpoint, per-filter seqlock
+// exposition — request/latency series per endpoint, per-filter growth
 // and occupancy series, and the WAL/checkpoint/fold families; see the
 // README's Observability section for the catalogue. -metrics-addr
 // additionally serves /metrics on a separate private address.

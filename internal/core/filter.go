@@ -344,15 +344,3 @@ func (f *Filter) Stats() FilterStats {
 		SizeBits:    f.SizeBits(),
 	}
 }
-
-// ReadOptimistic reports whether the filter's read paths may run without
-// any lock against a concurrent writer, relying on an external version
-// check (a seqlock, see internal/shard) to discard torn results. It holds
-// exactly when every probe touches only the fixed-size flat slices of the
-// packed bucketTable (fps, flags, attrs): a torn read of those can
-// mislead but never fault, and the version recheck catches the lie. The
-// sketched variants (Bloom, Mixed) fail it — their probes chase arena
-// references into a grow-only []*bloom.Filter whose backing array a
-// concurrent insert may swap, so a torn slice header could index freed
-// memory; they must be read under a lock.
-func (f *Filter) ReadOptimistic() bool { return f.sketch == nil }

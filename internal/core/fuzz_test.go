@@ -178,7 +178,7 @@ func FuzzLadderDifferential(f *testing.F) {
 		// in any level: same key fingerprint, same bucket pair under that
 		// level's mask, same attribute fingerprint.
 		sameSlotAnyLevel := func(x, y row) bool {
-			for _, filt := range lad.levels() {
+			for _, filt := range lad.lv {
 				fx, fy := filt.fingerprint(x.k), filt.fingerprint(y.k)
 				if fx != fy {
 					return false // fingerprints are level-independent

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // This file is the elastic-capacity engine. A fixed-size cuckoo filter
@@ -23,11 +22,10 @@ import (
 // level while the common case (one level, or a hit in the newest) stays
 // a single-filter probe.
 //
-// The level list is copy-on-write behind an atomic pointer: opening a
-// level builds a new slice and publishes it, so a concurrent reader
-// always iterates a coherent list (the filters themselves follow the
-// usual contract — in-place mutation needs external exclusion, e.g. the
-// shard layer's seqlock). Folding — collapsing a grown ladder back into
+// Opening a level appends to the level list in place, so Grow (and an
+// Insert that grows) needs the same exclusion from concurrent readers as
+// any other mutation, e.g. the shard layer's per-shard write lock.
+// Folding — collapsing a grown ladder back into
 // one right-sized level — needs the original keys and therefore lives in
 // the layers that still have them: internal/store rebuilds from WAL
 // replay and swaps the result in through the Restore path.
@@ -69,14 +67,14 @@ func (o LadderOptions) normalized() LadderOptions {
 
 // Ladder is an elastically sized conditional cuckoo filter: an ordered
 // list of *Filter levels sharing one parameter set (and seed) with a
-// geometrically growing bucket count. Like Filter it is not safe for
-// concurrent mutation; queries are safe for concurrent readers, and the
-// level list itself is published atomically so a reader that overlaps a
-// grow sees either the old or the new list, never a torn one.
+// geometrically growing bucket count. Like Filter it is safe for
+// concurrent queries but not for a mutation concurrent with anything
+// else: Insert, Delete, Grow and SetOptions need exclusive access, since
+// opening a level appends to the level list in place.
 type Ladder struct {
 	opts  LadderOptions
-	lv    atomic.Pointer[[]*Filter]
-	grows int // cumulative level openings, surviving marshal round trips
+	lv    []*Filter // levels, oldest first
+	grows int       // cumulative level openings, surviving marshal round trips
 }
 
 // NewLadder returns a one-level ladder whose base filter is configured
@@ -91,18 +89,11 @@ func NewLadder(p Params, opts LadderOptions) (*Ladder, error) {
 
 // LadderFromFilter wraps an existing filter as a ladder's base level.
 func LadderFromFilter(f *Filter, opts LadderOptions) *Ladder {
-	l := &Ladder{opts: opts.normalized()}
-	lv := []*Filter{f}
-	l.lv.Store(&lv)
-	return l
+	return &Ladder{opts: opts.normalized(), lv: []*Filter{f}}
 }
 
-// levels returns the current level list, oldest first. The slice is
-// immutable; growth publishes a new one.
-func (l *Ladder) levels() []*Filter { return *l.lv.Load() }
-
 // Levels returns the number of levels currently open.
-func (l *Ladder) Levels() int { return len(l.levels()) }
+func (l *Ladder) Levels() int { return len(l.lv) }
 
 // Grows returns the cumulative number of level openings, including those
 // recorded before a marshal round trip.
@@ -118,17 +109,12 @@ func (l *Ladder) SetOptions(opts LadderOptions) { l.opts = opts.normalized() }
 
 // Params returns the base level's effective parameters. All levels share
 // every parameter except Buckets.
-func (l *Ladder) Params() Params { return l.levels()[0].Params() }
-
-// ReadOptimistic reports whether every level supports lock-free probing
-// under an external version check; levels share a variant, so the base
-// level answers for all (see Filter.ReadOptimistic).
-func (l *Ladder) ReadOptimistic() bool { return l.levels()[0].ReadOptimistic() }
+func (l *Ladder) Params() Params { return l.lv[0].Params() }
 
 // openLevel appends a fresh level whose bucket count is the newest
-// level's times GrowthFactor, publishing the new level list.
+// level's times GrowthFactor.
 func (l *Ladder) openLevel() (*Filter, error) {
-	lv := l.levels()
+	lv := l.lv
 	if len(lv) >= l.opts.MaxLevels {
 		return nil, ErrMaxLevels
 	}
@@ -143,10 +129,7 @@ func (l *Ladder) openLevel() (*Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	nlv := make([]*Filter, len(lv)+1)
-	copy(nlv, lv)
-	nlv[len(lv)] = nf
-	l.lv.Store(&nlv)
+	l.lv = append(lv, nf)
 	l.grows++
 	return nf, nil
 }
@@ -173,7 +156,7 @@ func (l *Ladder) Grow() error {
 // removes the newest copy first.
 func (l *Ladder) Insert(key uint64, attrs []uint64) error {
 	for {
-		lv := l.levels()
+		lv := l.lv
 		err := lv[len(lv)-1].Insert(key, attrs)
 		if err != ErrFull && err != ErrChainLimit {
 			return err
@@ -187,7 +170,7 @@ func (l *Ladder) Insert(key uint64, attrs []uint64) error {
 // Delete removes one copy of the row (Plain variant only), probing
 // newest→oldest for the level that holds it.
 func (l *Ladder) Delete(key uint64, attrs []uint64) error {
-	lv := l.levels()
+	lv := l.lv
 	for i := len(lv) - 1; i >= 0; i-- {
 		err := lv[i].Delete(key, attrs)
 		if err != ErrNotFound {
@@ -200,7 +183,7 @@ func (l *Ladder) Delete(key uint64, attrs []uint64) error {
 // Query reports whether any level may contain a matching row. Like
 // Filter.Query, an invalid predicate conservatively yields true.
 func (l *Ladder) Query(key uint64, pred Predicate) bool {
-	lv := l.levels()
+	lv := l.lv
 	if pred.Validate(lv[0].Params().NumAttrs) != nil {
 		return true
 	}
@@ -215,7 +198,7 @@ func (l *Ladder) Query(key uint64, pred Predicate) bool {
 // QueryUnchecked is Query without predicate validation; pred must have
 // passed Validate for the ladder's NumAttrs.
 func (l *Ladder) QueryUnchecked(key uint64, pred Predicate) bool {
-	lv := l.levels()
+	lv := l.lv
 	for i := len(lv) - 1; i >= 0; i-- {
 		if lv[i].QueryUnchecked(key, pred) {
 			return true
@@ -226,7 +209,7 @@ func (l *Ladder) QueryUnchecked(key uint64, pred Predicate) bool {
 
 // QueryKey reports whether any row with the key may exist in any level.
 func (l *Ladder) QueryKey(key uint64) bool {
-	lv := l.levels()
+	lv := l.lv
 	for i := len(lv) - 1; i >= 0; i-- {
 		if lv[i].QueryKey(key) {
 			return true
@@ -288,10 +271,10 @@ func keepFalse(pend []int32, out []bool) []int32 {
 // The result is the walk depth: the number of levels actually probed
 // before every key resolved (at least 1; older levels skipped by the
 // early exit don't count). Tracing attaches it as a span attribute so a
-// deep-ladder tail is distinguishable from seqlock contention; untraced
-// callers ignore it.
+// deep-ladder tail is distinguishable from a slow level; untraced callers
+// ignore it.
 func (l *Ladder) QueryBatchIdxWalk(out []bool, keys []uint64, idxs []int32, pred Predicate) int {
-	lv := l.levels()
+	lv := l.lv
 	last := len(lv) - 1
 	lv[last].QueryBatchIdx(out, keys, idxs, pred)
 	if last == 0 {
@@ -341,7 +324,7 @@ func (l *Ladder) ContainsBatchInto(dst []bool, keys []uint64) []bool {
 // Rows returns the rows accepted across all levels.
 func (l *Ladder) Rows() int {
 	n := 0
-	for _, f := range l.levels() {
+	for _, f := range l.lv {
 		n += f.Rows()
 	}
 	return n
@@ -350,7 +333,7 @@ func (l *Ladder) Rows() int {
 // OccupiedEntries returns the occupied entries across all levels.
 func (l *Ladder) OccupiedEntries() int {
 	n := 0
-	for _, f := range l.levels() {
+	for _, f := range l.lv {
 		n += f.OccupiedEntries()
 	}
 	return n
@@ -359,7 +342,7 @@ func (l *Ladder) OccupiedEntries() int {
 // Capacity returns the total entry slots across all levels.
 func (l *Ladder) Capacity() int {
 	n := 0
-	for _, f := range l.levels() {
+	for _, f := range l.lv {
 		n += f.Capacity()
 	}
 	return n
@@ -374,14 +357,14 @@ func (l *Ladder) LoadFactor() float64 {
 // proactive-grow policies watch, since only the newest level absorbs
 // inserts.
 func (l *Ladder) NewestLoadFactor() float64 {
-	lv := l.levels()
+	lv := l.lv
 	return lv[len(lv)-1].LoadFactor()
 }
 
 // SizeBits returns the total packed sketch size across all levels.
 func (l *Ladder) SizeBits() int64 {
 	var n int64
-	for _, f := range l.levels() {
+	for _, f := range l.lv {
 		n += f.SizeBits()
 	}
 	return n
@@ -390,7 +373,7 @@ func (l *Ladder) SizeBits() int64 {
 // Discarded returns the rows dropped at the chain limit across levels.
 func (l *Ladder) Discarded() int {
 	n := 0
-	for _, f := range l.levels() {
+	for _, f := range l.lv {
 		n += f.Discarded()
 	}
 	return n
@@ -413,7 +396,7 @@ type LadderStats struct {
 
 // Stats returns aggregate and per-level occupancy.
 func (l *Ladder) Stats() LadderStats {
-	lv := l.levels()
+	lv := l.lv
 	st := LadderStats{Levels: len(lv), Grows: l.grows, PerLevel: make([]FilterStats, len(lv))}
 	for i, f := range lv {
 		fs := f.Stats()
@@ -440,7 +423,7 @@ type LadderKeyView struct {
 
 // PredicateFilter extracts a key-only view of every level for pred.
 func (l *Ladder) PredicateFilter(pred Predicate) (*LadderKeyView, error) {
-	lv := l.levels()
+	lv := l.lv
 	views := make([]*KeyView, len(lv))
 	for i, f := range lv {
 		v, err := f.PredicateFilter(pred)
@@ -489,7 +472,7 @@ type FrozenLadder struct {
 // Freeze snapshots every level into its immutable bit-packed form
 // (vector variants only).
 func (l *Ladder) Freeze() (*FrozenLadder, error) {
-	lv := l.levels()
+	lv := l.lv
 	frozen := make([]*Frozen, len(lv))
 	for i, f := range lv {
 		fr, err := f.Freeze()
@@ -557,7 +540,7 @@ const ladderVersion = 1
 // MarshalBinary encodes the ladder: a versioned envelope around each
 // level's filter payload.
 func (l *Ladder) MarshalBinary() ([]byte, error) {
-	lv := l.levels()
+	lv := l.lv
 	var buf bytes.Buffer
 	w := func(vs ...uint64) {
 		for _, v := range vs {
@@ -587,9 +570,7 @@ func (l *Ladder) UnmarshalBinary(data []byte) error {
 		if err := f.UnmarshalBinary(data); err != nil {
 			return err
 		}
-		g := LadderFromFilter(f, LadderOptions{MaxLevels: 1})
-		*l = Ladder{opts: g.opts, grows: 0}
-		l.lv.Store(g.lv.Load())
+		*l = *LadderFromFilter(f, LadderOptions{MaxLevels: 1})
 		return nil
 	}
 	r := &reader{data: data}
@@ -636,7 +617,6 @@ func (l *Ladder) UnmarshalBinary(data []byte) error {
 	no := opts.normalized()
 	// A ladder that grew to more levels than the (possibly clamped)
 	// budget still decodes; it just cannot grow further.
-	*l = Ladder{opts: no, grows: grows}
-	l.lv.Store(&lv)
+	*l = Ladder{opts: no, lv: lv, grows: grows}
 	return nil
 }

@@ -44,7 +44,7 @@ import (
 
 // probeTile is the batch pipeline's tile size: large enough to keep many
 // misses in flight, small enough that the scratch stays L1/L2-resident
-// (~11 KB) and a seqlock retry re-does bounded work.
+// (~11 KB).
 const probeTile = 256
 
 // probeBatch is the reusable per-call scratch of one batch probe. It

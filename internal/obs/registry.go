@@ -254,7 +254,7 @@ func writeHistogram(w io.Writer, name, labels string, h *Histogram, withExemplar
 	writeSeries(w, name+"_count", labels, "", formatUint(h.Count()))
 }
 
-func formatUint(v uint64) string  { return strconv.FormatUint(v, 10) }
+func formatUint(v uint64) string   { return strconv.FormatUint(v, 10) }
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Handler returns the GET /metrics endpoint over this registry.

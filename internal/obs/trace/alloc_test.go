@@ -30,9 +30,7 @@ func oneRequest(tr *Tracer, traceparent string) {
 	r.Start(PhaseDecode).Attr(AttrKeys, 64).End()
 	for sh := int64(0); sh < 2; sh++ {
 		r.Start(PhaseShardProbe).
-			Attr(AttrShard, sh).Attr(AttrKeys, 32).
-			Attr(AttrSeqlockRetries, 0).Attr(AttrSeqlockFallback, 0).
-			Attr(AttrLevels, 1).End()
+			Attr(AttrShard, sh).Attr(AttrKeys, 32).Attr(AttrLevels, 1).End()
 	}
 	r.Start(PhaseEncode).End()
 	tr.Finish(r, 200)

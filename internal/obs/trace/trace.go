@@ -97,24 +97,22 @@ type AttrKey uint8
 
 // Attribute keys.
 const (
-	AttrNone            AttrKey = iota
-	AttrShard                   // shard index
-	AttrKeys                    // keys probed
-	AttrRows                    // rows inserted
-	AttrSeqlockRetries          // optimistic-read retries in the span
-	AttrSeqlockFallback         // lock fallbacks in the span
-	AttrLevels                  // ladder level-walk depth
-	AttrSeq                     // WAL sequence number
-	AttrBytes                   // bytes written/encoded
-	AttrStatus                  // HTTP status code
-	AttrFilters                 // filters touched (recovery)
-	AttrRecords                 // WAL records replayed
+	AttrNone    AttrKey = iota
+	AttrShard           // shard index
+	AttrKeys            // keys probed
+	AttrRows            // rows inserted
+	AttrLevels          // ladder level-walk depth
+	AttrSeq             // WAL sequence number
+	AttrBytes           // bytes written/encoded
+	AttrStatus          // HTTP status code
+	AttrFilters         // filters touched (recovery)
+	AttrRecords         // WAL records replayed
 	numAttrKeys
 )
 
 var attrKeyNames = [numAttrKeys]string{
-	"", "shard", "keys", "rows", "seqlock_retries", "seqlock_fallbacks",
-	"levels", "seq", "bytes", "status", "filters", "records",
+	"", "shard", "keys", "rows", "levels", "seq", "bytes", "status",
+	"filters", "records",
 }
 
 // String returns the attribute key name.
@@ -132,7 +130,7 @@ type Attr struct {
 }
 
 // maxAttrs bounds attributes per span; the widest span today
-// (shard_probe) uses five.
+// (shard_probe) uses three.
 const maxAttrs = 6
 
 // Span is one completed or in-flight phase measurement. It is a plain

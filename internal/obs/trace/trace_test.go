@@ -62,9 +62,7 @@ func TestRequestSpanOrdering(t *testing.T) {
 	}
 	r.Start(PhaseDecode).Attr(AttrRows, 3).End()
 	r.Start(PhaseShardProbe).
-		Attr(AttrShard, 1).Attr(AttrKeys, 3).
-		Attr(AttrSeqlockRetries, 0).Attr(AttrSeqlockFallback, 0).
-		Attr(AttrLevels, 1).End()
+		Attr(AttrShard, 1).Attr(AttrKeys, 3).Attr(AttrLevels, 1).End()
 	r.Start(PhaseEncode).End()
 	tr.Finish(r, 200)
 
@@ -241,19 +239,19 @@ func TestDebugHandlerJSONAndText(t *testing.T) {
 	tr := New(Options{SampleEvery: 1, SlowThreshold: time.Nanosecond, Recorder: rec})
 	r := tr.StartRequest("")
 	r.Start(PhaseDecode).Attr(AttrKeys, 2).End()
-	r.Start(PhaseShardProbe).Attr(AttrShard, 0).Attr(AttrSeqlockRetries, 1).End()
+	r.Start(PhaseShardProbe).Attr(AttrShard, 0).Attr(AttrLevels, 1).End()
 	time.Sleep(time.Microsecond)
 	tr.Finish(r, 200)
 	tr.StartBackground(PhaseFold, r.TraceID()).End()
 
 	js := serveDebug(t, tr, "/debug/traces")
-	for _, want := range []string{`"slow"`, `"sampled"`, `"background"`, `"shard_probe"`, `"seqlock_retries"`, `"fold"`} {
+	for _, want := range []string{`"slow"`, `"sampled"`, `"background"`, `"shard_probe"`, `"levels"`, `"fold"`} {
 		if !strings.Contains(js, want) {
 			t.Errorf("JSON dump missing %s:\n%s", want, js)
 		}
 	}
 	txt := serveDebug(t, tr, "/debug/traces?format=text")
-	for _, want := range []string{"SLOW", "trace ", "decode", "shard_probe", "seqlock_retries=1", "fold"} {
+	for _, want := range []string{"SLOW", "trace ", "decode", "shard_probe", "levels=1", "fold"} {
 		if !strings.Contains(txt, want) {
 			t.Errorf("waterfall missing %q:\n%s", want, txt)
 		}

@@ -177,8 +177,8 @@ func toPredicate(conds []CondJSON) core.Predicate {
 //	DELETE /filters/{name}           drop a filter
 //	POST   /filters/{name}/insert    batched inserts
 //	POST   /filters/{name}/query     batched queries (optionally via view)
-//	GET    /filters/{name}/stats     one filter's stats (seqlock read;
-//	                                 never blocks the write path)
+//	GET    /filters/{name}/stats     one filter's stats (read under each
+//	                                 shard's read lock in turn)
 //	GET    /filters/{name}/snapshot  whole-set binary snapshot
 //	POST   /filters/{name}/restore   create or replace from a snapshot
 //	GET    /stats                    registry-wide stats
@@ -339,9 +339,9 @@ func (s *Server) buildMux() http.Handler {
 		if !ok {
 			return
 		}
-		// Stats reads go through the per-shard seqlock like queries
-		// (shard.Stats), so a monitoring scrape never blocks — or is
-		// blocked by — the write path.
+		// Stats reads each shard under its read lock like a query
+		// (shard.Stats), so a monitoring scrape holds up only the
+		// writers of the shard it is reading.
 		writeJSON(w, filterStats(e))
 	})
 

@@ -267,20 +267,15 @@ func (m *serverMetrics) wrap(endpoint string, logger *slog.Logger, slowQuery tim
 }
 
 // registerFilterMetrics names one filter's shard-layer handles and
-// occupancy gauges in the exposition registry. Counter handles live
-// inside the ShardedFilter (hot paths increment them regardless); the
+// occupancy gauges in the exposition registry. The counter handle lives
+// inside the ShardedFilter (GrowShard increments it regardless); the
 // gauges sample shard.Stats at scrape time, so the write path never
 // maintains them. Re-registration with the same name replaces the series
 // (PUT semantics), and Delete unregisters by the filter label.
 func registerFilterMetrics(reg *obs.Registry, name string, sf *shard.ShardedFilter) {
 	lbl := obs.Label{Key: "filter", Value: name}
-	sm := sf.Metrics()
-	reg.RegisterCounter("ccfd_seqlock_retries_total",
-		"Optimistic probes discarded by a concurrent writer.", &sm.SeqlockRetries, lbl)
-	reg.RegisterCounter("ccfd_seqlock_fallbacks_total",
-		"Reads served under the shard read lock.", &sm.SeqlockFallbacks, lbl)
 	reg.RegisterCounter("ccfd_policy_grows_total",
-		"Policy-driven proactive level openings.", &sm.Grows, lbl)
+		"Policy-driven proactive level openings.", &sf.Metrics().Grows, lbl)
 	reg.RegisterGaugeFunc("ccfd_filter_rows",
 		"Accepted rows.", func() float64 { return float64(sf.Stats().Rows) }, lbl)
 	reg.RegisterGaugeFunc("ccfd_filter_load_factor",

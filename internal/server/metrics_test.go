@@ -104,7 +104,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`ccfd_query_batch_keys_sum 5`,
 		// filter / shard layer
 		`ccfd_filter_rows{filter="movies"} 5`,
-		`ccfd_seqlock_fallbacks_total{filter="movies"}`,
+		`ccfd_policy_grows_total{filter="movies"}`,
 		`ccfd_shard_load_factor{filter="movies",shard="0"}`,
 		`ccfd_ladder_levels{filter="movies"} 1`,
 		// store layer

@@ -583,6 +583,54 @@ func TestCreateRouteRejectsHugeShardCount(t *testing.T) {
 	}
 }
 
+// TestRestoreRouteRejectsTooManyShards: a crafted snapshot of more shards
+// than a create may ask for (1024) answers 400 on the restore route and
+// creates no filter; a snapshot at the bound still restores.
+func TestRestoreRouteRejectsTooManyShards(t *testing.T) {
+	sf, err := shard.New(shard.Options{Params: core.Params{NumAttrs: 1, Buckets: 1, Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := sf.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// one is the 8-byte magic, the shard count, then one length-prefixed
+	// shard payload; repeat that payload n times under a count of n.
+	repeat := func(n int) []byte {
+		out := binary.LittleEndian.AppendUint64(bytes.Clone(one[:8]), uint64(n))
+		for i := 0; i < n; i++ {
+			out = append(out, one[16:]...)
+		}
+		return out
+	}
+	reg := NewRegistry(0)
+	ts := httptest.NewServer(NewHandler(reg))
+	defer ts.Close()
+	for _, tc := range []struct {
+		name   string
+		shards int
+		code   int
+	}{{"over", 1025, http.StatusBadRequest}, {"at", 1024, http.StatusCreated}} {
+		resp, err := ts.Client().Post(ts.URL+"/filters/"+tc.name+"/restore", "application/octet-stream",
+			bytes.NewReader(repeat(tc.shards)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Fatalf("restore of %d shards answered %d, want %d", tc.shards, resp.StatusCode, tc.code)
+		}
+		e, ok := reg.Get(tc.name)
+		if ok != (tc.code == http.StatusCreated) {
+			t.Fatalf("restore of %d shards: filter registered = %v", tc.shards, ok)
+		}
+		if ok && e.Filter().Shards() != tc.shards {
+			t.Fatalf("restored %d shards, want %d", e.Filter().Shards(), tc.shards)
+		}
+	}
+}
+
 // corruptFlag returns a copy of snap with flag set in the flags byte of
 // the first occupied, unflagged slot of the first filter payload: the
 // 8-byte magic "CCF1", 19 header words (bucket size at word 6, bucket

@@ -117,8 +117,7 @@ func TestTracedRequestCycle(t *testing.T) {
 			continue
 		}
 		for _, k := range []trace.AttrKey{
-			trace.AttrShard, trace.AttrKeys, trace.AttrSeqlockRetries,
-			trace.AttrSeqlockFallback, trace.AttrLevels,
+			trace.AttrShard, trace.AttrKeys, trace.AttrLevels,
 		} {
 			if _, ok := sp.Attr(k); !ok {
 				t.Fatalf("shard_probe span missing %s attribute", k)
@@ -248,8 +247,8 @@ func TestSlowRequestInDebugEndpoint(t *testing.T) {
 		for _, sp := range s.Spans {
 			seen[sp.Phase] = true
 			if sp.Phase == "shard_probe" {
-				if _, ok := sp.Attrs["seqlock_retries"]; !ok {
-					t.Fatal("shard_probe span lost seqlock_retries attr over JSON")
+				if _, ok := sp.Attrs["levels"]; !ok {
+					t.Fatal("shard_probe span lost levels attr over JSON")
 				}
 			}
 		}

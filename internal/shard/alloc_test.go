@@ -100,8 +100,7 @@ func TestQueryKeyBatchIntoSteadyStateZeroAlloc(t *testing.T) {
 // TestContendedMixSteadyStateZeroAlloc pins the contended serving shape:
 // a client interleaving batched probes with batched inserts (the bench
 // harness's 95/5 read/write mix) must stay allocation-free in steady
-// state — the seqlock retry path included, since concurrent writers are
-// exactly when it runs.
+// state.
 func TestContendedMixSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; alloc counts are meaningless")
@@ -231,83 +230,73 @@ func BenchmarkShardedQueryBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkShardedQueryBatchContended runs the read-heavy contended shape
-// the seqlock exists for: several goroutines issuing batched probes while
-// ~5% of their batches are inserts, compared against the pre-seqlock
-// behavior (PessimisticReads forces every probe onto the RLock path).
+// BenchmarkShardedQueryBatchContended runs a read-heavy contended shape:
+// several goroutines issuing batched probes while ~5% of their batches are
+// inserts, so readers and writers queue on the same shard locks.
 func BenchmarkShardedQueryBatchContended(b *testing.B) {
-	for _, mode := range []struct {
-		name        string
-		pessimistic bool
-	}{{"seqlock", false}, {"rlock", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			s, err := New(Options{
-				Shards:  4,
-				Workers: 1,
-				Params:  core.Params{NumAttrs: 2, Capacity: 1 << 16, Seed: 5},
-
-				PessimisticReads: mode.pessimistic,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			keys, attrs := mkRows(1 << 13)
-			for _, err := range s.InsertBatch(keys, attrs) {
-				if err != nil {
-					b.Fatal(err)
+	s, err := New(Options{
+		Shards:  4,
+		Workers: 1,
+		Params:  core.Params{NumAttrs: 2, Capacity: 1 << 16, Seed: 5},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys, attrs := mkRows(1 << 13)
+	for _, err := range s.InsertBatch(keys, attrs) {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	pred := core.And(core.Eq(0, 3))
+	const batch = 1024
+	b.ReportAllocs()
+	// ≥ 4 client goroutines even on a single-core runner:
+	// RunParallel spawns GOMAXPROCS·p workers.
+	if p := 4 / runtime.GOMAXPROCS(0); p > 1 {
+		b.SetParallelism(p)
+	}
+	b.ResetTimer()
+	var worker int64
+	b.RunParallel(func(pb *testing.PB) {
+		c := int(atomic.AddInt64(&worker, 1))
+		out := make([]bool, 0, batch)
+		errs := make([]error, 0, 256)
+		wkeys := make([]uint64, 256)
+		wattrs := make([][]uint64, 256)
+		for i := range wattrs {
+			// Second attribute 9 is disjoint from every stable row's
+			// (mkRows uses i%3), so the churn deletes below can never
+			// alias away a stable entry.
+			wattrs[i] = []uint64{uint64(i % 7), 9}
+		}
+		next := uint64(c) << 40
+		i := 0
+		for pb.Next() {
+			if i%20 == 19 {
+				// 5% write iterations: insert a fresh batch, then
+				// delete it again, so occupancy (and with it probe
+				// and kick cost) stays in steady state however long
+				// the benchmark runs.
+				for j := range wkeys {
+					wkeys[j] = next*2654435761 + 7
+					next++
 				}
-			}
-			pred := core.And(core.Eq(0, 3))
-			const batch = 1024
-			b.ReportAllocs()
-			// ≥ 4 client goroutines even on a single-core runner:
-			// RunParallel spawns GOMAXPROCS·p workers.
-			if p := 4 / runtime.GOMAXPROCS(0); p > 1 {
-				b.SetParallelism(p)
-			}
-			b.ResetTimer()
-			var worker int64
-			b.RunParallel(func(pb *testing.PB) {
-				c := int(atomic.AddInt64(&worker, 1))
-				out := make([]bool, 0, batch)
-				errs := make([]error, 0, 256)
-				wkeys := make([]uint64, 256)
-				wattrs := make([][]uint64, 256)
-				for i := range wattrs {
-					// Second attribute 9 is disjoint from every stable row's
-					// (mkRows uses i%3), so the churn deletes below can never
-					// alias away a stable entry.
-					wattrs[i] = []uint64{uint64(i % 7), 9}
+				errs = s.InsertBatchInto(errs[:0], wkeys, wattrs)
+				for j := range wkeys {
+					s.Delete(wkeys[j], wattrs[j])
 				}
-				next := uint64(c) << 40
-				i := 0
-				for pb.Next() {
-					if i%20 == 19 {
-						// 5% write iterations: insert a fresh batch, then
-						// delete it again, so occupancy (and with it probe
-						// and kick cost) stays in steady state however long
-						// the benchmark runs.
-						for j := range wkeys {
-							wkeys[j] = next*2654435761 + 7
-							next++
-						}
-						errs = s.InsertBatchInto(errs[:0], wkeys, wattrs)
-						for j := range wkeys {
-							s.Delete(wkeys[j], wattrs[j])
-						}
-					} else {
-						lo := (i * batch * c) % (len(keys) - batch)
-						out = s.QueryBatchInto(out[:0], keys[lo:lo+batch], pred)
-					}
-					i++
-				}
-			})
-			b.StopTimer()
-			if b.Elapsed() > 0 {
-				nsPerKey := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / batch
-				b.ReportMetric(nsPerKey, "ns/key")
+			} else {
+				lo := (i * batch * c) % (len(keys) - batch)
+				out = s.QueryBatchInto(out[:0], keys[lo:lo+batch], pred)
 			}
-		})
+			i++
+		}
+	})
+	b.StopTimer()
+	if b.Elapsed() > 0 {
+		nsPerKey := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / batch
+		b.ReportMetric(nsPerKey, "ns/key")
 	}
 }
 
@@ -346,7 +335,7 @@ func BenchmarkShardedInsertBatch(b *testing.B) {
 
 // TestQueryBatchTracedZeroAlloc pins the acceptance criterion for the
 // tracing layer: the traced probe path — request context, per-shard-group
-// spans with seqlock attributes, trace finish — must stay allocation-free
+// spans with their attributes, trace finish — must stay allocation-free
 // in steady state, both with sampling off (the always-on production
 // shape) and with every request sampled into the flight recorder.
 func TestQueryBatchTracedZeroAlloc(t *testing.T) {
@@ -463,8 +452,8 @@ func TestQueryBatchContextZeroAllocMatrix(t *testing.T) {
 }
 
 // TestQueryBatchTracedAttributes checks the span payload end to end: one
-// shard_probe span per shard group carrying the shard index, key count,
-// seqlock counters, and ladder walk depth.
+// shard_probe span per shard group carrying the shard index, key count
+// and ladder walk depth.
 func TestQueryBatchTracedAttributes(t *testing.T) {
 	rec := trace.NewRecorder(4, 4)
 	tr := trace.New(trace.Options{SampleEvery: 1, Recorder: rec})
@@ -498,12 +487,6 @@ func TestQueryBatchTracedAttributes(t *testing.T) {
 			t.Fatalf("keys attr = %d, %v", n, ok)
 		}
 		totalKeys += n
-		if _, ok := sp.Attr(trace.AttrSeqlockRetries); !ok {
-			t.Fatal("missing seqlock_retries attr")
-		}
-		if _, ok := sp.Attr(trace.AttrSeqlockFallback); !ok {
-			t.Fatal("missing seqlock_fallbacks attr")
-		}
 		if lv, ok := sp.Attr(trace.AttrLevels); !ok || lv < 1 {
 			t.Fatalf("levels attr = %d, %v (want >= 1 walked level)", lv, ok)
 		}

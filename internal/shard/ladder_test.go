@@ -175,14 +175,15 @@ func TestRowStatuses(t *testing.T) {
 	}
 }
 
-// TestSeqlockGrowFoldTorture races optimistic readers against the two
-// elastic-capacity mutations at once: inserts that keep forcing reactive
-// level opens, explicit GrowShard calls, and periodic Restores of a
-// right-sized single-level snapshot containing every stable key — the
-// shard-visible effect of a store fold. Readers assert the stable keys
-// never go missing; run under -race this is the memory-model check for
-// the ladder's copy-on-write level list behind the seqlock.
-func TestSeqlockGrowFoldTorture(t *testing.T) {
+// TestGrowFoldTorture races readers against the two elastic-capacity
+// mutations at once: inserts that keep forcing reactive level opens,
+// explicit GrowShard calls, and periodic Restores of a right-sized
+// single-level snapshot containing every stable key — the shard-visible
+// effect of a store fold. Readers assert the stable keys never go
+// missing; run under -race this is the memory-model check for level
+// openings, which append to the ladder's level list under the shard
+// write lock.
+func TestGrowFoldTorture(t *testing.T) {
 	const stable = 2048
 	s, err := New(Options{
 		Shards:   4,
@@ -288,7 +289,7 @@ func TestSeqlockGrowFoldTorture(t *testing.T) {
 		}
 	}()
 	// Folder: periodic Restore of the right-sized snapshot, plus stats
-	// and snapshot scrapes through the seqlock.
+	// and snapshot scrapes under the shard read locks.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

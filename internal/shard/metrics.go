@@ -3,21 +3,11 @@ package shard
 import "ccf/internal/obs"
 
 // Metrics are the shard layer's instrumentation handles, embedded by
-// value in every ShardedFilter so the read and write paths increment
-// preallocated atomics — never a name lookup, never an allocation. The
-// handles are always on; internal/server names them in an obs.Registry
-// for exposition, and the zero-alloc guards in alloc_test.go run against
-// the instrumented paths.
+// value in every ShardedFilter so the write path increments preallocated
+// atomics — never a name lookup, never an allocation. The handles are
+// always on; internal/server names them in an obs.Registry for
+// exposition.
 type Metrics struct {
-	// SeqlockRetries counts optimistic probes discarded because a writer
-	// moved the shard's version during the read section (each discarded
-	// attempt counts, so one read may add several).
-	SeqlockRetries obs.Counter
-	// SeqlockFallbacks counts reads served under the shard read lock:
-	// optimistic tries exhausted, sketched variants, race builds, or
-	// PessimisticReads. fallbacks/reads rising toward 1 means the
-	// optimistic path is not paying for itself.
-	SeqlockFallbacks obs.Counter
 	// Grows counts policy-driven GrowShard level openings. Reactive
 	// grows inside inserts are visible in Stats (per-ladder Grows), which
 	// the server exposes as a gauge.

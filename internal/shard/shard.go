@@ -3,18 +3,12 @@
 // read/write traffic from many goroutines.
 //
 // Keys are routed to shards by a salted hash that is independent of the
-// in-shard bucket hash, so sharding does not skew bucket occupancy. Writers
-// of different shards never contend: each shard carries its own write
-// mutex. Readers do not lock at all on the common path — every shard is a
-// seqlock (an atomic version counter its writers bump to odd before
-// mutating and back to even after), and readers sample the counter, probe
-// optimistically, and retry if it moved. A torn read of the packed bucket
-// storage can mislead but never fault (the table is flat pointer-free
-// slices, see core.Filter.ReadOptimistic), and the version recheck
-// discards any result a concurrent writer could have corrupted. Variants
-// whose probes chase sketch pointers (Bloom, Mixed), builds under the race
-// detector, and readers that lose the optimistic race too often fall back
-// to the shard's read lock.
+// in-shard bucket hash, so sharding does not skew bucket occupancy. Each
+// shard sits behind its own read-write lock: readers of a shard share it,
+// and writers of different shards never contend. Every read, whatever the
+// variant or build, takes the shard's read lock once per batch group or
+// point probe, so the read path the race detector checks is the one that
+// serves.
 //
 // The batch entry points (InsertBatch, QueryBatch) group a request by shard
 // first and enter each shard once per batch, not once per key, probing
@@ -79,78 +73,37 @@ type Options struct {
 	// GOMAXPROCS; 1 runs inserts entirely on the calling goroutine. Batch
 	// queries always run on the calling goroutine.
 	Workers int
-	// PessimisticReads disables the optimistic seqlock read path: every
-	// read takes the shard read lock, the pre-seqlock behavior. It exists
-	// for benchmarking the seqlock against the RLock baseline and as an
-	// operational escape hatch; the sketched variants (Bloom, Mixed) are
-	// read pessimistically regardless, see core.Filter.ReadOptimistic.
-	// Filters built by FromSnapshot don't pass through Options; use
-	// SetPessimisticReads on them.
-	PessimisticReads bool
 	// Params configures each shard's filter. Capacity (or Buckets, if set)
 	// is divided evenly across shards.
 	Params core.Params
 }
 
-// optimisticReadTries bounds how many times a reader re-probes a shard
-// whose version keeps moving before it falls back to the read lock. Low:
-// each failed try is wasted work, and under sustained write pressure the
-// lock's queueing is the better citizen (it cannot livelock).
-const optimisticReadTries = 4
-
-// seqlockProbeHook, when non-nil, runs between a reader's version sample
-// and its optimistic probe. Tests use it to force a mutation into that
-// window — a deterministic torn read — and assert the retry; it is a
-// single predictable nil check per shard group in production.
-var seqlockProbeHook func()
-
-// cell is one shard: a filter ladder behind a seqlock and a write mutex,
-// padded so two shards' hot atomics never share a cache line.
-//
-// Writer protocol: hold mu, then bump seq to odd (beginWrite), mutate the
-// ladder in place, bump seq back to even (endWrite). Opening a new level
-// is one of those in-place mutations: the ladder publishes its level list
-// through an internal atomic pointer, so the append happens inside the
-// odd-seq window like any other write and an overlapped optimistic probe
-// discards its result and retries. Restore follows the same protocol
-// around swapping f itself. The mutex serializes writers; the seq bumps
-// are what readers observe.
-//
-// Reader protocol (readCell): sample seq (spin past odd), load f, probe,
-// re-sample; a changed seq means a writer overlapped and the result —
-// possibly computed from torn data — is discarded and retried. The ladder
-// pointer is atomic so a reader always probes a coherent object even when
-// it loses the race to a concurrent Restore.
+// cell is one shard: a filter ladder behind a read-write lock, padded so
+// two shards' locks never share a cache line. Readers hold mu for reading
+// (readCell); every mutation of the ladder, level openings included,
+// holds it for writing, and Restore holds every cell's write lock while it
+// replaces f.
 type cell struct {
-	mu  sync.RWMutex
-	seq atomic.Uint64
-	f   atomic.Pointer[core.Ladder]
-	_   [64]byte
+	mu sync.RWMutex
+	f  *core.Ladder
+	_  [64]byte
 }
-
-// beginWrite marks the cell mutating (seq odd). Callers hold mu.
-func (c *cell) beginWrite() { c.seq.Add(1) }
-
-// endWrite publishes the mutation (seq even again).
-func (c *cell) endWrite() { c.seq.Add(1) }
 
 // ShardedFilter is a conditional cuckoo filter partitioned by key hash
 // across independent shards. All methods are safe for concurrent use.
 type ShardedFilter struct {
-	cells       []cell
-	seed        atomic.Uint64 // routing salt base; atomic because Restore may swap it
-	workers     int
-	pessimistic atomic.Bool   // Options.PessimisticReads / SetPessimisticReads
-	version     atomic.Uint64 // bumped by every successful mutation; see Version
+	cells   []cell
+	seed    atomic.Uint64 // routing salt base; atomic because Restore may swap it
+	workers int
+	version atomic.Uint64 // bumped by every successful mutation; see Version
 	// gen counts completed Restores; it is bumped while every shard lock
-	// is held. Operations capture it before routing and re-check it inside
-	// the read section (or under the write lock): a mismatch means a
-	// Restore swapped the contents (even one restoring an identical seed)
-	// and the operation must re-route. The seed alone cannot detect that,
-	// since snapshots of the same filter carry the same seed.
+	// is held. Operations capture it before routing and re-check it under
+	// the shard lock: a mismatch means a Restore swapped the contents
+	// (even one restoring an identical seed) and the operation must
+	// re-route. The seed alone cannot detect that, since snapshots of the
+	// same filter carry the same seed.
 	gen atomic.Uint64
-	// metrics holds the always-on instrumentation handles (see Metrics);
-	// by value so hot paths reach them with one pointer offset.
+	// metrics holds the always-on instrumentation handles (see Metrics).
 	metrics Metrics
 }
 
@@ -177,15 +130,14 @@ func New(opts Options) (*ShardedFilter, error) {
 		return nil, fmt.Errorf("shard: invalid worker count %d", opts.Workers)
 	}
 	s := &ShardedFilter{cells: make([]cell, n), workers: w}
-	s.pessimistic.Store(opts.PessimisticReads)
 	for i := range s.cells {
 		l, err := core.NewLadder(p, opts.AutoGrow)
 		if err != nil {
 			return nil, err
 		}
-		s.cells[i].f.Store(l)
+		s.cells[i].f = l
 	}
-	s.seed.Store(s.cells[0].f.Load().Params().Seed)
+	s.seed.Store(s.cells[0].f.Params().Seed)
 	return s, nil
 }
 
@@ -197,7 +149,7 @@ func (s *ShardedFilter) Shards() int { return len(s.cells) }
 func (s *ShardedFilter) Params() core.Params {
 	c := &s.cells[0]
 	c.mu.RLock()
-	p := c.f.Load().Params()
+	p := c.f.Params()
 	c.mu.RUnlock()
 	return p
 }
@@ -206,14 +158,6 @@ func (s *ShardedFilter) Params() core.Params {
 // Delete, InsertBatch, Restore). Caches layered above the filter compare
 // versions to detect staleness; see internal/server.
 func (s *ShardedFilter) Version() uint64 { return s.version.Load() }
-
-// SetPessimisticReads switches the read path at runtime: true forces
-// every read onto the shard read lock (see Options.PessimisticReads).
-// It is the escape hatch for filters that did not pass through Options —
-// FromSnapshot restores, store recovery — and is safe to flip while
-// serving; in-flight optimistic reads still finish under their version
-// check.
-func (s *ShardedFilter) SetPessimisticReads(v bool) { s.pessimistic.Store(v) }
 
 // router is an immutable snapshot of the key→shard routing function,
 // hashing.Key64(key, seed^saltShard) % n. Operations (and extracted
@@ -301,84 +245,35 @@ func (s *ShardedFilter) router() router { return newRouter(s.seed.Load(), len(s.
 // shardOf routes a key to its shard under the current routing.
 func (s *ShardedFilter) shardOf(key uint64) int { return s.router().shardOf(key) }
 
-// probeCount accumulates one probe's seqlock outcomes for span
-// attribution. Plain counters: each instance is owned by the single
-// goroutine running its shard group.
-type probeCount struct {
-	retries, fallbacks uint32
-}
-
-// readCell runs probe against the cell's filter, optimistically under the
-// seqlock when the filter supports torn reads, falling back to the read
-// lock otherwise (sketched variants, race builds, PessimisticReads, or a
-// version that keeps moving). probe may run more than once and must be
-// idempotent — assign results, don't accumulate. readCell returns false
-// when gen no longer matches the filter's Restore generation; the caller
-// captured its routing against that generation and must re-route. pc,
-// when non-nil, receives this call's retry/fallback counts on top of
-// the global metrics (traced probes attribute contention per span).
-func (s *ShardedFilter) readCell(c *cell, gen uint64, probe func(f *core.Ladder), pc *probeCount) bool {
-	if !raceEnabled && !s.pessimistic.Load() {
-		for try := 0; try < optimisticReadTries; try++ {
-			v := c.seq.Load()
-			if v&1 != 0 {
-				// A writer is mid-mutation; yield so it can finish (on a
-				// loaded single core a spin would run out its timeslice).
-				runtime.Gosched()
-				continue
-			}
-			if s.gen.Load() != gen {
-				return false
-			}
-			f := c.f.Load()
-			if !f.ReadOptimistic() {
-				break
-			}
-			if h := seqlockProbeHook; h != nil {
-				h()
-			}
-			probe(f)
-			if c.seq.Load() == v {
-				return true
-			}
-			// A writer overlapped the read section; the result may have
-			// been computed from torn data and is discarded.
-			s.metrics.SeqlockRetries.Inc()
-			if pc != nil {
-				pc.retries++
-			}
-		}
-	}
-	s.metrics.SeqlockFallbacks.Inc()
-	if pc != nil {
-		pc.fallbacks++
-	}
+// readCell runs probe against the cell's ladder under the cell's read
+// lock. It returns false without probing when gen no longer matches the
+// filter's Restore generation; the caller captured its routing against
+// that generation and must re-route.
+func (s *ShardedFilter) readCell(c *cell, gen uint64, probe func(f *core.Ladder)) bool {
 	c.mu.RLock()
 	ok := s.gen.Load() == gen
 	if ok {
-		probe(c.f.Load())
+		probe(c.f)
 	}
 	c.mu.RUnlock()
 	return ok
 }
 
-// withShard routes key to its shard and runs fn with the shard's filter:
-// under the shard write lock with the seqlock bumped when mutate is set,
-// through readCell's optimistic protocol otherwise. Routing is computed
-// before entering the shard, so a concurrent Restore can swap the contents
-// (and possibly the seed) in between; since Restore bumps gen while
-// holding every shard lock, re-checking gen inside the read section (or
-// under the lock) detects that, and we re-route. The retry makes point
-// operations atomic with respect to Restore: they apply either fully
-// before or fully after it, never with stale routing against fresh
-// contents.
+// withShard routes key to its shard and runs fn with the shard's filter,
+// under the shard write lock when mutate is set and the read lock
+// otherwise. Routing is computed before entering the shard, so a
+// concurrent Restore can swap the contents (and possibly the seed) in
+// between; since Restore bumps gen while holding every shard lock,
+// re-checking gen under the lock detects that, and we re-route. The retry
+// makes point operations atomic with respect to Restore: they apply
+// either fully before or fully after it, never with stale routing against
+// fresh contents.
 func (s *ShardedFilter) withShard(key uint64, mutate bool, fn func(f *core.Ladder)) {
 	for {
 		gen := s.gen.Load()
-		rt := s.router()
-		c := &s.cells[rt.shardOf(key)]
+		c := &s.cells[s.shardOf(key)]
 		if !mutate {
-			if s.readCell(c, gen, fn, nil) {
+			if s.readCell(c, gen, fn) {
 				return
 			}
 			continue
@@ -386,9 +281,7 @@ func (s *ShardedFilter) withShard(key uint64, mutate bool, fn func(f *core.Ladde
 		c.mu.Lock()
 		ok := s.gen.Load() == gen
 		if ok {
-			c.beginWrite()
-			fn(c.f.Load())
-			c.endWrite()
+			fn(c.f)
 		}
 		c.mu.Unlock()
 		if ok {
@@ -399,7 +292,7 @@ func (s *ShardedFilter) withShard(key uint64, mutate bool, fn func(f *core.Ladde
 
 // Insert adds a row, locking only the key's shard. With an AutoGrow
 // budget the shard's ladder opens a new level instead of returning
-// ErrFull; the level append happens inside the seqlock's odd window.
+// ErrFull, under the same write lock.
 func (s *ShardedFilter) Insert(key uint64, attrs []uint64) error {
 	var err error
 	s.withShard(key, true, func(f *core.Ladder) { err = f.Insert(key, attrs) })
@@ -429,9 +322,7 @@ func (s *ShardedFilter) GrowShard(sh int) error {
 	}
 	c := &s.cells[sh]
 	c.mu.Lock()
-	c.beginWrite()
-	err := c.f.Load().Grow()
-	c.endWrite()
+	err := c.f.Grow()
 	c.mu.Unlock()
 	if err == nil {
 		s.version.Add(1)
@@ -445,7 +336,7 @@ func (s *ShardedFilter) GrowShard(sh int) error {
 func (s *ShardedFilter) AutoGrow() core.LadderOptions {
 	c := &s.cells[0]
 	c.mu.RLock()
-	o := c.f.Load().Options()
+	o := c.f.Options()
 	c.mu.RUnlock()
 	return o
 }
@@ -457,15 +348,13 @@ func (s *ShardedFilter) SetAutoGrow(opts core.LadderOptions) {
 	for i := range s.cells {
 		c := &s.cells[i]
 		c.mu.Lock()
-		c.beginWrite()
-		c.f.Load().SetOptions(opts)
-		c.endWrite()
+		c.f.SetOptions(opts)
 		c.mu.Unlock()
 	}
 }
 
 // Query reports whether a matching row may exist, probing the key's shard
-// through the seqlock.
+// under its read lock.
 func (s *ShardedFilter) Query(key uint64, pred core.Predicate) bool {
 	var ok bool
 	s.withShard(key, false, func(f *core.Ladder) { ok = f.Query(key, pred) })
@@ -614,11 +503,11 @@ func (s *ShardedFilter) insertGrouped(rt router, keys []uint64, attrs [][]uint64
 }
 
 // insertShardGroup applies one shard's span of a batch insert under the
-// shard write lock, with the seqlock held odd so concurrent optimistic
-// readers retry instead of consuming half-applied rows. idxs == nil means
-// "all keys" (single-shard routing). A generation mismatch means a Restore
-// completed after routing; rows applied so far went into the filters it
-// discarded, so the whole batch retries against the restored contents.
+// shard write lock, so readers never see half-applied rows. idxs == nil
+// means "all keys" (single-shard routing). A generation mismatch means a
+// Restore completed after routing; rows applied so far went into the
+// filters it discarded, so the whole batch retries against the restored
+// contents.
 func (s *ShardedFilter) insertShardGroup(sh int, idxs []int32, keys []uint64,
 	attrs [][]uint64, errs []error, gen uint64, stale *atomic.Bool) {
 	c := &s.cells[sh]
@@ -627,19 +516,13 @@ func (s *ShardedFilter) insertShardGroup(sh int, idxs []int32, keys []uint64,
 	case s.gen.Load() != gen:
 		stale.Store(true)
 	case idxs == nil:
-		c.beginWrite()
-		l := c.f.Load()
 		for i := range keys {
-			errs[i] = l.Insert(keys[i], attrs[i])
+			errs[i] = c.f.Insert(keys[i], attrs[i])
 		}
-		c.endWrite()
 	default:
-		c.beginWrite()
-		l := c.f.Load()
 		for _, i := range idxs {
-			errs[i] = l.Insert(keys[i], attrs[i])
+			errs[i] = c.f.Insert(keys[i], attrs[i])
 		}
-		c.endWrite()
 	}
 	c.mu.Unlock()
 }
@@ -665,13 +548,13 @@ func (s *ShardedFilter) QueryBatchInto(dst []bool, keys []uint64, pred core.Pred
 // QueryBatchContext is the sharded filter's one batch probe. It answers
 // one membership query per key under pred, writing results into dst
 // (grown if its capacity is short), grouping keys by shard and probing
-// each shard's span in one seqlock read section through the ladder's
+// each shard's span under one hold of its read lock through the ladder's
 // batch walker. The groups run in shard order on the calling goroutine,
 // whatever the batch size. A nil or empty pred is key membership: it
 // answers exactly what QueryKey answers (see core.Ladder.QueryBatchIdxWalk).
 //
-// The predicate is validated once per shard group — inside the same
-// read section as the probes, so a concurrent Restore cannot change
+// The predicate is validated once per shard group — under the same read
+// lock as the probes, so a concurrent Restore cannot change
 // NumAttrs between validation and probing; an invalid predicate yields
 // all true, matching Query's conservative no-false-negatives contract. A
 // Restore that races the batch is detected by the generation check and
@@ -685,7 +568,7 @@ func (s *ShardedFilter) QueryBatchInto(dst []bool, keys []uint64, pred core.Pred
 // callers must not serve them). A nil ctx (or one that never expires)
 // costs one nil check per group, keeping the un-deadlined hot path
 // allocation-free. One shard group is the minimum unit of work:
-// cancellation never tears a group's seqlock read section.
+// cancellation is checked only between groups.
 func (s *ShardedFilter) QueryBatchContext(ctx context.Context, dst []bool, keys []uint64, pred core.Predicate, tr *trace.Req) ([]bool, error) {
 	out := dst
 	if cap(out) < len(keys) {
@@ -756,37 +639,31 @@ func ctxErr(ctx context.Context) error {
 	}
 }
 
-// queryShardGroup answers one shard's span of a batch query in one
-// seqlock read section (readCell). The predicate is validated once per
-// group — inside the read section, so a concurrent Restore cannot change
-// NumAttrs between validation and probing; an invalid predicate yields
-// all true, matching Query's conservative no-false-negatives contract.
-// The probe body is idempotent (it assigns into out), so a seqlock retry
-// simply overwrites the discarded attempt. Untraced (tr nil), the span
-// calls are no-ops and the walk depth goes unreported. It reports false
-// when a Restore completed after gen was captured and the batch must
-// re-route.
+// queryShardGroup answers one shard's span of a batch query under the
+// shard's read lock (readCell). The predicate is validated once per
+// group, under that lock, so a concurrent Restore cannot change NumAttrs
+// between validation and probing; an invalid predicate yields all true,
+// matching Query's conservative no-false-negatives contract. Untraced (tr
+// nil), the span calls are no-ops and the walk depth goes unreported. It
+// reports false when a Restore completed after gen was captured and the
+// batch must re-route.
 func (s *ShardedFilter) queryShardGroup(sh int, idxs []int32, keys []uint64,
 	pred core.Predicate, out []bool, gen uint64, tr *trace.Req) bool {
 	sp := tr.Start(trace.PhaseShardProbe)
-	var pc probeCount
 	var walked int
 	ok := s.readCell(&s.cells[sh], gen, func(f *core.Ladder) {
 		if pred.Validate(f.Params().NumAttrs) != nil {
 			markTrue(out, idxs)
-			walked = 0
 			return
 		}
 		walked = f.QueryBatchIdxWalk(out, keys, idxs, pred)
-	}, &pc)
+	})
 	n := len(idxs)
 	if idxs == nil {
 		n = len(keys)
 	}
 	sp.Attr(trace.AttrShard, int64(sh)).
 		Attr(trace.AttrKeys, int64(n)).
-		Attr(trace.AttrSeqlockRetries, int64(pc.retries)).
-		Attr(trace.AttrSeqlockFallback, int64(pc.fallbacks)).
 		Attr(trace.AttrLevels, int64(walked)).
 		End()
 	return ok
@@ -810,8 +687,7 @@ func markTrue(out []bool, idxs []int32) {
 // returns them bundled behind the routing captured at extraction time,
 // so a later Restore (which may change the routing seed) cannot make an
 // existing view mis-route keys. All shard read locks are held for the
-// duration — extraction walks every entry, so optimistic retry would be
-// wasteful; the locks exclude writers and Restore, making the view a
+// duration; they exclude writers and Restore, making the view a
 // consistent cut of the whole filter.
 func (s *ShardedFilter) PredicateFilter(pred core.Predicate) (*KeyView, error) {
 	for i := range s.cells {
@@ -825,7 +701,7 @@ func (s *ShardedFilter) PredicateFilter(pred core.Predicate) (*KeyView, error) {
 	rt := s.router() // stable while the read locks exclude Restore
 	views := make([]*core.LadderKeyView, len(s.cells))
 	for i := range s.cells {
-		v, err := s.cells[i].f.Load().PredicateFilter(pred)
+		v, err := s.cells[i].f.PredicateFilter(pred)
 		if err != nil {
 			return nil, err
 		}
@@ -849,7 +725,7 @@ func (s *ShardedFilter) Freeze() (*FrozenSet, error) {
 	rt := s.router() // stable while the read locks exclude Restore
 	shards := make([]*core.FrozenLadder, len(s.cells))
 	for i := range s.cells {
-		fr, err := s.cells[i].f.Load().Freeze()
+		fr, err := s.cells[i].f.Freeze()
 		if err != nil {
 			return nil, err
 		}
@@ -867,7 +743,7 @@ type GrowthStat struct {
 }
 
 // GrowthStats fills dst (grown if short) with one GrowthStat per shard,
-// read through the seqlock. It is the policy layer's cheap alternative
+// each read under its shard's read lock. It is the policy layer's cheap alternative
 // to Stats: no per-level slices are built, so a caller that recycles
 // dst probes all shards allocation-free.
 func (s *ShardedFilter) GrowthStats(dst []GrowthStat) []GrowthStat {
@@ -882,7 +758,7 @@ func (s *ShardedFilter) GrowthStats(dst []GrowthStat) []GrowthStat {
 		for i := range s.cells {
 			if !s.readCell(&s.cells[i], gen, func(f *core.Ladder) {
 				dst[i] = GrowthStat{Levels: f.Levels(), NewestLoad: f.NewestLoadFactor()}
-			}, nil) {
+			}) {
 				ok = false
 				break
 			}
@@ -913,10 +789,10 @@ type Stats struct {
 }
 
 // Stats returns aggregate and per-shard occupancy. Each shard is read
-// through the seqlock like a query, so stats scrapes never block (or are
-// blocked by) the write path; the counters of one shard are a consistent
-// snapshot, while cross-shard skew from in-flight batches remains
-// possible, as it always was.
+// under its own read lock like a query, so a scrape holds up only the
+// writers of the shard it is reading; the counters of one shard are a
+// consistent snapshot, while cross-shard skew from in-flight batches
+// remains possible.
 func (s *ShardedFilter) Stats() Stats {
 	for {
 		gen := s.gen.Load()
@@ -926,11 +802,7 @@ func (s *ShardedFilter) Stats() Stats {
 		ok := true
 		for i := range s.cells {
 			var ls core.LadderStats
-			if !s.readCell(&s.cells[i], gen, func(f *core.Ladder) {
-				// Assignment, not accumulation: a seqlock retry re-runs
-				// this probe and must not double-count.
-				ls = f.Stats()
-			}, nil) {
+			if !s.readCell(&s.cells[i], gen, func(f *core.Ladder) { ls = f.Stats() }) {
 				ok = false
 				break
 			}
@@ -967,20 +839,18 @@ func (s *ShardedFilter) SizeBits() int64 { return s.Stats().SizeBits }
 
 // Snapshot serializes the whole shard set: a header followed by each
 // shard's MarshalBinary payload, length-prefixed. Each shard is
-// serialized in a seqlock read section — a writer that overlaps the
-// marshal invalidates that shard's payload and it is re-serialized — so
-// snapshots no longer hold every shard's read lock and the write path is
-// never blocked behind a slow scrape. The consistency trade: each
-// shard's payload is individually consistent and a concurrent Restore is
-// excluded by the generation fence (the whole snapshot retries, so the
-// payload can never mix shards from before and after one), but shards
-// are serialized at different instants, so a concurrent mutation batch
-// may be captured on any subset of its shards — including a shard it
-// reached late but not one it reached early, an interleaving the old
-// all-locks point-in-time cut could not produce. Callers that need a
-// cut that is exact against in-flight mutations must exclude writers
-// themselves, as internal/store's checkpointer does with its write
-// barrier.
+// serialized under its own read lock, one shard at a time, so a snapshot
+// holds up only the writers of the shard it is marshalling. The
+// consistency trade: each shard's payload is individually consistent and
+// a concurrent Restore is excluded by the generation fence (the whole
+// snapshot retries, so the payload can never mix shards from before and
+// after one), but shards are serialized at different instants, so a
+// concurrent mutation batch may be captured on any subset of its shards —
+// including a shard it reached late but not one it reached early, an
+// interleaving an all-locks point-in-time cut could not produce. Callers
+// that need a cut that is exact against in-flight mutations must exclude
+// writers themselves, as internal/store's checkpointer does with its
+// write barrier.
 func (s *ShardedFilter) Snapshot() ([]byte, error) {
 	for {
 		gen := s.gen.Load()
@@ -991,7 +861,7 @@ func (s *ShardedFilter) Snapshot() ([]byte, error) {
 			var err error
 			if !s.readCell(&s.cells[i], gen, func(f *core.Ladder) {
 				b, err = f.MarshalBinary()
-			}, nil) {
+			}) {
 				ok = false
 				break
 			}
@@ -1018,7 +888,9 @@ func (s *ShardedFilter) Snapshot() ([]byte, error) {
 	}
 }
 
-// parseSnapshot splits a snapshot into per-shard payloads.
+// parseSnapshot splits a snapshot into per-shard payloads. It refuses
+// more than maxShards shards, the bound New enforces, so FromSnapshot,
+// Restore and store recovery cannot build a filter New would refuse.
 func parseSnapshot(data []byte) ([][]byte, error) {
 	if len(data) < 16 {
 		return nil, errors.New("shard: truncated snapshot")
@@ -1027,8 +899,8 @@ func parseSnapshot(data []byte) ([][]byte, error) {
 		return nil, errors.New("shard: bad snapshot magic")
 	}
 	n := binary.LittleEndian.Uint64(data[8:])
-	if n == 0 || n > 1<<20 {
-		return nil, fmt.Errorf("shard: corrupt shard count %d", n)
+	if n == 0 || n > maxShards {
+		return nil, fmt.Errorf("shard: snapshot shard count %d (want 1 to %d)", n, maxShards)
 	}
 	parts := make([][]byte, 0, n)
 	off := 16
@@ -1072,11 +944,10 @@ func decodeShards(parts [][]byte) ([]*core.Ladder, error) {
 
 // Restore replaces the shard contents with a snapshot taken from a filter
 // with the same shard count. Every shard write lock is acquired (in
-// index order) and held across the whole content-and-seed swap, with
-// every seqlock held odd, so the restore is atomic with respect to
-// concurrent operations: no insert can route with the old seed into a new
-// shard, no reader sees a mix of old and new shards, and an optimistic
-// probe that overlapped the swap fails its version recheck and retries.
+// index order) and held across the whole content-and-seed swap, so the
+// restore is atomic with respect to concurrent operations: no insert can
+// route with the old seed into a new shard, and no reader sees a mix of
+// old and new shards.
 func (s *ShardedFilter) Restore(data []byte) error {
 	parts, err := parseSnapshot(data)
 	if err != nil {
@@ -1094,16 +965,10 @@ func (s *ShardedFilter) Restore(data []byte) error {
 		s.cells[i].mu.Lock()
 	}
 	for i := range s.cells {
-		s.cells[i].beginWrite()
-	}
-	for i := range s.cells {
-		s.cells[i].f.Store(fresh[i])
+		s.cells[i].f = fresh[i]
 	}
 	s.seed.Store(fresh[0].Params().Seed)
 	s.gen.Add(1) // bumped under all locks; see the gen field
-	for i := range s.cells {
-		s.cells[i].endWrite()
-	}
 	for i := range s.cells {
 		s.cells[i].mu.Unlock()
 	}
@@ -1131,8 +996,8 @@ func FromSnapshot(data []byte, workers int) (*ShardedFilter, error) {
 	}
 	s := &ShardedFilter{cells: make([]cell, len(parts)), workers: workers}
 	for i, f := range filters {
-		s.cells[i].f.Store(f)
+		s.cells[i].f = f
 	}
-	s.seed.Store(s.cells[0].f.Load().Params().Seed)
+	s.seed.Store(filters[0].Params().Seed)
 	return s, nil
 }

@@ -256,6 +256,39 @@ func TestSnapshotHugeLengthRejected(t *testing.T) {
 	}
 }
 
+// repeatShard builds a snapshot of n copies of one single-bucket shard,
+// the shape of a crafted snapshot asking for more shards than New allows.
+func repeatShard(t *testing.T, n int) []byte {
+	t.Helper()
+	s, err := New(Options{Params: core.Params{NumAttrs: 1, Buckets: 1, Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := binary.LittleEndian.AppendUint64(nil, snapshotMagic)
+	out = binary.LittleEndian.AppendUint64(out, uint64(n))
+	for i := 0; i < n; i++ {
+		out = append(out, one[16:]...) // the shard's length prefix and payload
+	}
+	return out
+}
+
+// TestSnapshotShardBound: a snapshot shares New's shard bound, so
+// FromSnapshot (and with it the restore route and store recovery) cannot
+// build a filter a create would refuse.
+func TestSnapshotShardBound(t *testing.T) {
+	if s, err := FromSnapshot(repeatShard(t, maxShards+1), 0); err == nil {
+		t.Fatalf("snapshot of %d shards built %d shards, want an error", maxShards+1, s.Shards())
+	}
+	s, err := FromSnapshot(repeatShard(t, maxShards), 0)
+	if err != nil || s.Shards() != maxShards {
+		t.Fatalf("snapshot of %d shards: err %v", maxShards, err)
+	}
+}
+
 // TestKeyViewSurvivesRestore pins the routing contract: a view keeps
 // answering as of extraction time even after Restore swaps in filters
 // built with a different seed (and so a different shard routing).
