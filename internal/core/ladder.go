@@ -25,10 +25,10 @@ import (
 // Opening a level appends to the level list in place, so Grow (and an
 // Insert that grows) needs the same exclusion from concurrent readers as
 // any other mutation, e.g. the shard layer's per-shard write lock.
-// Folding — collapsing a grown ladder back into
-// one right-sized level — needs the original keys and therefore lives in
-// the layers that still have them: internal/store rebuilds from WAL
-// replay and swaps the result in through the Restore path.
+// Folding — collapsing a grown ladder back into one right-sized level —
+// needs the original keys and therefore lives in the layers that still
+// have them: internal/store rebuilds from WAL replay and swaps the result
+// in through the Restore path.
 
 // ErrMaxLevels reports a grow request on a ladder already at its
 // MaxLevels budget (Insert surfaces the underlying ErrFull instead).
