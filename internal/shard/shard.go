@@ -743,9 +743,9 @@ type GrowthStat struct {
 }
 
 // GrowthStats fills dst (grown if short) with one GrowthStat per shard,
-// each read under its shard's read lock. It is the policy layer's cheap alternative
-// to Stats: no per-level slices are built, so a caller that recycles
-// dst probes all shards allocation-free.
+// each read under its shard's read lock. It is the policy layer's cheap
+// alternative to Stats: no per-level slices are built, so a caller that
+// recycles dst probes all shards allocation-free.
 func (s *ShardedFilter) GrowthStats(dst []GrowthStat) []GrowthStat {
 	if cap(dst) < len(s.cells) {
 		dst = make([]GrowthStat, len(s.cells))
