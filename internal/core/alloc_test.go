@@ -60,27 +60,40 @@ func TestQuerySteadyStateZeroAlloc(t *testing.T) {
 
 func TestInsertSteadyStateZeroAlloc(t *testing.T) {
 	// The vector variants must insert without allocating: the kick-chain
-	// carrier and staging vectors are per-filter scratch. (VariantBloom is
-	// excluded: a fresh key necessarily allocates its per-entry sketch.)
-	// Mixed is driven with unique keys so no conversion sketch is built.
-	for _, v := range []Variant{VariantPlain, VariantChained, VariantMixed} {
-		v := v
-		t.Run(v.String(), func(t *testing.T) {
-			f := mustFilter(t, Params{Variant: v, NumAttrs: 2, Capacity: 1 << 15, Seed: 9})
+	// carrier, staging vectors and chain-run cache are per-filter scratch.
+	// (VariantBloom is excluded: a fresh key necessarily allocates its
+	// per-entry sketch.) Mixed is driven with unique keys so no conversion
+	// sketch is built. ChainedRuns gives each key 16 rows in a row with
+	// distinct vectors, so every insert after a key's first resumes its
+	// chain walk across six pairs.
+	for _, tc := range []struct {
+		name    string
+		v       Variant
+		runRows uint64
+	}{
+		{"Plain", VariantPlain, 1},
+		{"Chained", VariantChained, 1},
+		{"ChainedRuns", VariantChained, 16},
+		{"Mixed", VariantMixed, 1},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			f := mustFilter(t, Params{Variant: tc.v, NumAttrs: 2, Capacity: 1 << 15, Seed: 9})
 			attrs := []uint64{0, 0}
-			k := uint64(0)
+			i := uint64(0)
 			insert := func() {
-				attrs[0], attrs[1] = k%16, k%7
+				k := i / tc.runRows
+				attrs[0], attrs[1] = k%16+i%tc.runRows*16, k%7
 				if err := f.Insert(k, attrs); err != nil {
 					t.Fatal(err)
 				}
-				k++
+				i++
 			}
-			for i := 0; i < 1000; i++ { // warm the kick-path scratch
+			for n := 0; n < 1000; n++ { // warm the kick-path and run scratch
 				insert()
 			}
 			if n := testing.AllocsPerRun(1000, insert); n != 0 {
-				t.Errorf("%s: Insert allocates %.2f allocs/op, want 0", v, n)
+				t.Errorf("%s: Insert allocates %.2f allocs/op, want 0", tc.name, n)
 			}
 		})
 	}
@@ -440,9 +453,22 @@ func BenchmarkCoreQueryKey(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreInsert loads 1<<14 rows per fresh filter. The variant
+// cases give every row its own key; ChainedRuns16 gives each key 16 rows
+// in a row with distinct vectors, the shape of a fact table sorted by
+// key, where a chained insert resumes the key's chain walk.
 func BenchmarkCoreInsert(b *testing.B) {
-	for _, v := range []Variant{VariantPlain, VariantChained, VariantMixed} {
-		b.Run(v.String(), func(b *testing.B) {
+	for _, tc := range []struct {
+		name    string
+		v       Variant
+		runRows int
+	}{
+		{"Plain", VariantPlain, 1},
+		{"Chained", VariantChained, 1},
+		{"Mixed", VariantMixed, 1},
+		{"ChainedRuns16", VariantChained, 16},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
 			var f *Filter
 			var err error
 			attrs := []uint64{0, 0}
@@ -450,14 +476,15 @@ func BenchmarkCoreInsert(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if i&(1<<14-1) == 0 {
 					b.StopTimer()
-					f, err = New(Params{Variant: v, NumAttrs: 2, Capacity: 1 << 15, Seed: 42})
+					f, err = New(Params{Variant: tc.v, NumAttrs: 2, Capacity: 1 << 15, Seed: 42})
 					if err != nil {
 						b.Fatal(err)
 					}
 					b.StartTimer()
 				}
-				k := uint64(i) & (1<<14 - 1)
-				attrs[0], attrs[1] = k%16, k%7
+				row := i & (1<<14 - 1)
+				k := uint64(row / tc.runRows)
+				attrs[0], attrs[1] = k%16+uint64(row%tc.runRows*16), k%7
 				if err := f.Insert(k, attrs); err != nil {
 					b.Fatal(err)
 				}

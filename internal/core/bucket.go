@@ -116,6 +116,7 @@ type probeScratch struct {
 	carry carried
 	vec   []uint16 // attribute vector staging for Delete
 	path  []int32  // kick path for rollback
+	run   chainRun // the chained insert's walk, resumed while the key repeats
 }
 
 func (s *probeScratch) init(t *bucketTable) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"ccf/internal/bloom"
 )
 
@@ -10,16 +12,32 @@ import (
 // distinct (key, attribute) pairs (§10.1), and Table 1's sizing counts
 // distinct attribute vectors per key.
 //
-// Steady-state inserts are allocation-free: the kick-chain carrier and the
-// attribute staging vector are per-filter scratch buffers (bucket.go), so
-// only the Bloom-sketch variants allocate, and only when a new entry needs
-// its own sketch.
+// A chained insert of the same key as the previous insert resumes that
+// insert's chain walk instead of restarting it (see chainRun), so loading
+// a key's n rows in a row costs O(n) pair visits rather than Algorithm
+// 4's O(n²/d). The tables, errors and counters are exactly those of the
+// per-row walk.
+//
+// Steady-state inserts are allocation-free: the kick-chain carrier, the
+// attribute staging vector and the chain-run cache are per-filter scratch
+// buffers (bucket.go), so only the Bloom-sketch variants allocate, and
+// only when a new entry needs its own sketch.
 //
 // Errors: ErrAttrCount for a bad vector; ErrFull when a cuckoo insertion
 // exhausts its kicks (the filter is unchanged); ErrChainLimit when
 // VariantChained discards a row at Lmax (queries for the row still return
 // true, preserving no-false-negatives).
 func (f *Filter) Insert(key uint64, attrs []uint64) error {
+	err := f.insert(key, attrs)
+	if err == ErrChainLimit {
+		f.discarded++
+	}
+	return err
+}
+
+// insert is Insert without the discard count, which Ladder.Insert keeps
+// itself: a row it retries on a new level is stored, not discarded.
+func (f *Filter) insert(key uint64, attrs []uint64) error {
 	if len(attrs) != f.p.NumAttrs {
 		return ErrAttrCount
 	}
@@ -30,7 +48,7 @@ func (f *Filter) Insert(key uint64, attrs []uint64) error {
 	case VariantPlain:
 		err = f.insertPlain(fp, home, attrs)
 	case VariantChained:
-		err = f.insertChained(fp, home, attrs)
+		err = f.insertChained(key, fp, home, attrs)
 	case VariantBloom:
 		err = f.insertBloom(fp, home, attrs)
 	case VariantMixed:
@@ -102,30 +120,142 @@ func (f *Filter) insertPlain(fp uint16, home uint32, attrs []uint64) error {
 }
 
 // insertChained implements Algorithm 4: walk the chain of bucket pairs
-// until one holds fewer than d copies of κ, then cuckoo-insert there.
-func (f *Filter) insertChained(fp uint16, home uint32, attrs []uint64) error {
+// until one holds fewer than d copies of κ, then cuckoo-insert there. A
+// row deduplicates against any pair walked before it is placed.
+//
+// The walk lives in the filter's chainRun. A key other than the previous
+// insert's starts a fresh walk at its first pair; a repeat of that key
+// checks its vector against every pair already walked and carries on
+// from the pair where the walk stopped.
+func (f *Filter) insertChained(key uint64, fp uint16, home uint32, attrs []uint64) error {
 	c := f.resetCarried()
 	c.fp = fp
 	f.attrVector(attrs, c.attr)
-	var seq chainSeq
-	f.initChainSeq(&seq, fp, home)
-	for {
-		l1, l2 := seq.buckets()
-		if f.pairHasVector(l1, l2, fp, c.attr) {
+	r := &f.scratch.run
+	if r.live && r.key == key {
+		if r.hasVector(c.attr) {
 			return nil
 		}
-		if f.countFpInPair(l1, l2, fp) < f.p.MaxDupes {
-			if f.placeWithKicks(l1, l2, c) {
-				f.recordChainDepth(seq.pairs)
-				return nil
-			}
-			return ErrFull
-		}
-		if !seq.advance() {
-			f.discarded++
-			return ErrChainLimit
+	} else {
+		r.start(f, key, fp, home)
+		if f.scanPair(r, c.attr) {
+			return nil
 		}
 	}
+	for {
+		if r.count < f.p.MaxDupes {
+			l1, l2 := r.seq.buckets()
+			// Cache the vector first: the kicks swap c's contents away.
+			r.vecs = append(r.vecs, c.attr...)
+			if !f.placeWithKicks(l1, l2, c) {
+				r.live = false
+				return ErrFull
+			}
+			r.count++
+			f.recordChainDepth(r.seq.pairs)
+			return nil
+		}
+		if !r.seq.advance() {
+			return ErrChainLimit
+		}
+		if f.scanPair(r, c.attr) {
+			return nil
+		}
+	}
+}
+
+// chainRun is the chained insert's walk, kept in the mutation scratch
+// across consecutive inserts of one key. It holds the walk's position,
+// the current pair's count of κ and the attribute vector of every live
+// κ entry in every pair walked, which is all a later row of the key
+// needs from the pairs behind it: their counts were already d or more,
+// and a row is a duplicate wherever its vector sits. The cache stays
+// exact while the run lasts:
+//   - only the run's own inserts touch the filter, and each adds one
+//     entry of κ, in the current pair, counted and cached as it lands;
+//   - a kick moves an entry only to the other bucket of its own pair, so
+//     no pair gains or loses an entry of κ through kicks;
+//   - a failed placement rolls back, and it ends the run anyway.
+//
+// An insert of any other key starts a fresh run, and UnmarshalBinary
+// builds a fresh filter, so nothing else can change a pair behind a live
+// run.
+type chainRun struct {
+	live  bool
+	key   uint64
+	seq   chainSeq // the walk, at the pair the next row places into
+	count int      // entries of κ in seq's current pair
+	vecs  []uint16 // vectors of κ's live entries in the pairs walked, nattr each
+}
+
+// maxRunVecs bounds the vector cache a run hands to the next one, at
+// 1 MiB of fingerprints. A walk is bounded by MaxChain and hardChainCap,
+// so this only stops one very deep chain from pinning a large buffer.
+const maxRunVecs = 1 << 19
+
+// start begins a fresh walk for key at its first pair.
+func (r *chainRun) start(f *Filter, key uint64, fp uint16, home uint32) {
+	r.live = true
+	r.key = key
+	spill := r.seq.spill[:0]
+	f.initChainSeq(&r.seq, fp, home)
+	r.seq.spill = spill
+	r.count = 0
+	if cap(r.vecs) > maxRunVecs {
+		r.vecs = nil
+	}
+	r.vecs = r.vecs[:0]
+}
+
+// hasVector reports whether any pair walked so far stores (κ, vec).
+func (r *chainRun) hasVector(vec []uint16) bool {
+	if len(vec) == 1 {
+		return slices.Contains(r.vecs, vec[0])
+	}
+	for i := 0; i < len(r.vecs); i += len(vec) {
+		if slices.Equal(r.vecs[i:i+len(vec)], vec) {
+			return true
+		}
+	}
+	return false
+}
+
+// scanPair reads the run's current pair in one pass per bucket: it sets
+// the pair's count of κ, caches the vectors of its live κ entries and
+// reports whether one of them is vec. A degenerate pair (ℓ = ℓ′) is one
+// bucket, read once.
+func (f *Filter) scanPair(r *chainRun, vec []uint16) bool {
+	l1, l2 := r.seq.buckets()
+	r.count = 0
+	found := f.scanBucket(r, l1, vec)
+	if l2 != l1 && f.scanBucket(r, l2, vec) {
+		found = true
+	}
+	return found
+}
+
+func (f *Filter) scanBucket(r *chainRun, bucket uint32, vec []uint16) bool {
+	fp := r.seq.fp
+	base := int(bucket) * f.bsz
+	found := false
+	for j := 0; j < f.bsz; j++ {
+		idx := base + j
+		if f.fps[idx] != fp {
+			continue
+		}
+		r.count++
+		// Converted (Mixed only) and tombstoned entries hold no vector a
+		// row could duplicate; see vectorAt.
+		if f.flags[idx]&(flagConverted|flagTombstone) != 0 {
+			continue
+		}
+		a := f.attrs[idx*f.nattr : (idx+1)*f.nattr]
+		if slices.Equal(a, vec) {
+			found = true
+		}
+		r.vecs = append(r.vecs, a...)
+	}
+	return found
 }
 
 // recordChainDepth tallies which chain pair an insertion landed in.

@@ -145,7 +145,13 @@ func (l *Ladder) Grow() error {
 // Insert adds a row to the newest level, opening a new level and
 // retrying there when the insertion fails with ErrFull or ErrChainLimit
 // and the MaxLevels budget allows. With growth exhausted (or disabled)
-// the newest level's error is returned unchanged.
+// the newest level's error is returned unchanged. A row counts as
+// discarded (Discarded) only when Insert itself returns ErrChainLimit:
+// a row retried on a new level is stored there.
+//
+// Each level keeps its own chained-insert run (see Filter.Insert), so a
+// key's rows resume their chain walk in the newest level, including
+// after a level opens mid-run.
 //
 // Deduplication is per level: re-inserting a row whose copy lives in an
 // older level stores a second copy in the newest (probing every level on
@@ -156,12 +162,15 @@ func (l *Ladder) Grow() error {
 // removes the newest copy first.
 func (l *Ladder) Insert(key uint64, attrs []uint64) error {
 	for {
-		lv := l.lv
-		err := lv[len(lv)-1].Insert(key, attrs)
+		newest := l.lv[len(l.lv)-1]
+		err := newest.insert(key, attrs)
 		if err != ErrFull && err != ErrChainLimit {
 			return err
 		}
 		if _, gerr := l.openLevel(); gerr != nil {
+			if err == ErrChainLimit {
+				newest.discarded++
+			}
 			return err
 		}
 	}

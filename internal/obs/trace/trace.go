@@ -7,11 +7,9 @@
 // decode, per-shard probe, WAL append, group-commit fsync wait,
 // response encode). Spans are plain value structs with a fixed
 // attribute array: starting and ending one is a few stores and a clock
-// read, never an allocation or a lock. Completed spans are mirrored
-// into striped lock-free ring buffers (one per logical CPU,
-// approximating per-P rings without runtime hooks), and whole traces
-// that are slow or sampled are copied into the flight recorder for
-// GET /debug/traces.
+// read, never an allocation or a lock. A completed span stays in its
+// request's buffer and nowhere else; only whole traces that are slow or
+// sampled are copied, into the flight recorder for GET /debug/traces.
 //
 // Trace identity is W3C: StartRequest accepts an incoming `traceparent`
 // header and Traceparent emits one, so a future router tier composes
@@ -134,8 +132,8 @@ type Attr struct {
 const maxAttrs = 6
 
 // Span is one completed or in-flight phase measurement. It is a plain
-// value struct — fixed size, no pointers — so rings and recorders can
-// copy it without allocation and the GC never scans trace storage.
+// value struct — fixed size, no pointers — so the recorder can copy it
+// without allocation and the GC never scans trace storage.
 type Span struct {
 	TraceHi uint64 // trace ID
 	TraceLo uint64

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,11 +19,8 @@ type Options struct {
 	// flight recorder's slow ring regardless of sampling. 0 disables.
 	SlowThreshold time.Duration
 	// Recorder receives captured traces; nil means slow/sampled traces
-	// are dropped (rings still work).
+	// are dropped (spans still feed the phase histograms).
 	Recorder *Recorder
-	// RingSlots sets each striped ring's capacity (rounded up to a
-	// power of two, default 256).
-	RingSlots int
 }
 
 // Metrics are the tracer's own counters, preallocated handles in the
@@ -35,8 +31,8 @@ type Metrics struct {
 	SpansDropped    obs.Counter // spans lost to a full Req buffer
 }
 
-// Tracer owns the striped span rings, the flight recorder, and the
-// per-phase attribution histograms. A nil *Tracer is valid and inert:
+// Tracer owns the flight recorder and the per-phase attribution
+// histograms. A nil *Tracer is valid and inert:
 // every method is nil-safe and the spans it hands out are no-ops, so
 // call sites never branch on "is tracing on".
 type Tracer struct {
@@ -45,8 +41,6 @@ type Tracer struct {
 	reqSeq        atomic.Uint64
 	seed          uint64
 	rec           *Recorder
-	rings         []ring
-	ringMask      uint32
 	phases        [numPhases]*obs.Histogram
 	metrics       Metrics
 	reqPool       sync.Pool
@@ -55,20 +49,9 @@ type Tracer struct {
 // New builds a Tracer. The per-phase histograms cover 100ns..~100ms,
 // the span-duration range of a single request phase.
 func New(o Options) *Tracer {
-	n := nextPow2(runtime.GOMAXPROCS(0))
-	slots := o.RingSlots
-	if slots <= 0 {
-		slots = 256
-	}
-	slots = nextPow2(slots)
 	t := &Tracer{
-		seed:     uint64(time.Now().UnixNano()),
-		rec:      o.Recorder,
-		rings:    make([]ring, n),
-		ringMask: uint32(n - 1),
-	}
-	for i := range t.rings {
-		t.rings[i].init(slots)
+		seed: uint64(time.Now().UnixNano()),
+		rec:  o.Recorder,
 	}
 	for p := range t.phases {
 		t.phases[p] = obs.NewHistogram(1e-9, obs.ExpBounds(100, 4, 11))
@@ -232,19 +215,19 @@ func (s Spanner) Attr(k AttrKey, v int64) Spanner {
 	return s
 }
 
-// End closes the span and publishes it to the striped rings.
+// End closes the span. It stays in the request's buffer, where Finish
+// reads it.
 func (s Spanner) End() {
 	if s.r == nil {
 		return
 	}
 	sp := &s.r.spans[s.i]
 	sp.Dur = now() - sp.Start
-	s.r.t.publish(sp)
 }
 
 // Finish ends the request trace: closes the root span (attaching the
-// HTTP status), publishes it, feeds the attribution histograms when
-// sampled, and hands the trace to the recorder when slow or sampled.
+// HTTP status), feeds the attribution histograms when sampled, and hands
+// the trace to the recorder when slow or sampled.
 // It returns the request duration. The Req must not be used after.
 func (t *Tracer) Finish(r *Req, status int) time.Duration {
 	if t == nil || r == nil {
@@ -256,7 +239,6 @@ func (t *Tracer) Finish(r *Req, status int) time.Duration {
 		root.Attrs[root.N] = Attr{Key: AttrStatus, Val: int64(status)}
 		root.N++
 	}
-	t.publish(root)
 	dur := time.Duration(root.Dur)
 	n := r.n.Load()
 	if n > maxReqSpans {
@@ -324,14 +306,13 @@ func (b *BgSpan) Attr(k AttrKey, v int64) *BgSpan {
 	return b
 }
 
-// End closes the span, publishes it to the rings, feeds attribution,
-// and records it in the recorder's background timeline.
+// End closes the span, feeds attribution, and records it in the
+// recorder's background timeline.
 func (b *BgSpan) End() {
 	if b == nil {
 		return
 	}
 	b.sp.Dur = now() - b.sp.Start
-	b.t.publish(&b.sp)
 	b.t.phases[b.sp.Phase].Observe(b.sp.Dur)
 	if b.t.rec != nil {
 		b.t.rec.background(&b.sp)
@@ -344,71 +325,4 @@ func (b *BgSpan) TraceID() ID {
 		return ID{}
 	}
 	return ID{Hi: b.sp.TraceHi, Lo: b.sp.TraceLo}
-}
-
-// Striped lock-free rings. One ring per logical CPU approximates
-// per-P buffers without runtime internals: a publisher takes a ticket
-// with one atomic add on the ring indexed by its span ID (cheap,
-// uniformly distributed, no goroutine identity needed) and writes the
-// slot under a slot-sequence seqlock; readers detect torn slots by
-// re-checking the sequence. No locks, no allocation, publishers never
-// wait.
-type ring struct {
-	pos   atomic.Uint64
-	mask  uint64
-	slots []ringSlot
-}
-
-type ringSlot struct {
-	seq atomic.Uint64 // ticket of the occupying span; 0 = being written
-	sp  Span
-}
-
-func (r *ring) init(slots int) {
-	r.slots = make([]ringSlot, slots)
-	r.mask = uint64(slots - 1)
-}
-
-// publish copies *sp into the next slot of the ring striped by span ID.
-func (t *Tracer) publish(sp *Span) {
-	r := &t.rings[uint32(sp.ID)&t.ringMask]
-	ticket := r.pos.Add(1)
-	slot := &r.slots[ticket&r.mask]
-	slot.seq.Store(0) // mark torn
-	slot.sp = *sp
-	slot.seq.Store(ticket)
-}
-
-// snapshotRings copies every stably-published span out of the rings,
-// newest writes included, torn slots skipped. Allocates; debug path
-// only.
-func (t *Tracer) snapshotRings() []Span {
-	var out []Span
-	for i := range t.rings {
-		r := &t.rings[i]
-		for j := range r.slots {
-			slot := &r.slots[j]
-			seq := slot.seq.Load()
-			if seq == 0 {
-				continue
-			}
-			sp := slot.sp
-			if slot.seq.Load() != seq {
-				continue // torn: overwritten mid-copy
-			}
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
-func nextPow2(n int) int {
-	if n < 1 {
-		return 1
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
