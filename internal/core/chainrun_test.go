@@ -257,7 +257,7 @@ func TestChainRunCases(t *testing.T) {
 		for seed := uint64(0); seed < 32; seed++ {
 			got, want := twin(t, Params{Variant: VariantChained, Buckets: 8, BucketSize: 2,
 				MaxDupes: 2, MaxKicks: 5, Seed: seed})
-			for k := uint64(100); got.OccupiedEntries() < 12; k++ {
+			for k := uint64(100); k < 1000 && got.OccupiedEntries() < 12; k++ {
 				insertBoth(t, got, want, k, []uint64{0})
 			}
 			stored := 0

@@ -32,9 +32,9 @@ type Metrics struct {
 }
 
 // Tracer owns the flight recorder and the per-phase attribution
-// histograms. A nil *Tracer is valid and inert:
-// every method is nil-safe and the spans it hands out are no-ops, so
-// call sites never branch on "is tracing on".
+// histograms. A nil *Tracer is valid and inert: every method is
+// nil-safe and the spans it hands out are no-ops, so call sites never
+// branch on "is tracing on".
 type Tracer struct {
 	sampleEvery   atomic.Int64
 	slowThreshold atomic.Int64
@@ -227,8 +227,8 @@ func (s Spanner) End() {
 
 // Finish ends the request trace: closes the root span (attaching the
 // HTTP status), feeds the attribution histograms when sampled, and hands
-// the trace to the recorder when slow or sampled.
-// It returns the request duration. The Req must not be used after.
+// the trace to the recorder when slow or sampled. It returns the request
+// duration. The Req must not be used after.
 func (t *Tracer) Finish(r *Req, status int) time.Duration {
 	if t == nil || r == nil {
 		return 0
