@@ -18,23 +18,32 @@ import (
 // kernel from internal/simd (AVX2 when the hardware has it, the scalar
 // reference otherwise; see -probe-engine):
 //
-//	phase 1  hash every key in the tile: fingerprint, home bucket, alt
-//	         bucket (pure ALU work the vector engine runs 4 keys wide)
+//	runs     fold each run of equal consecutive keys into one probe:
+//	         one key per run, and for each tile position the run that
+//	         holds it (fact-table rows repeat their join key, and a
+//	         table that stores a key's rows together repeats it in a
+//	         row; a key that recurs later in the tile is probed again)
+//	phase 1  hash every run's key: fingerprint, home bucket, alt bucket
+//	         (pure ALU work the vector engine runs 4 keys wide)
 //	phase 2  read both candidate buckets' fingerprints in place and
-//	         compare them against each key's broadcast fingerprint,
+//	         compare them against each run's broadcast fingerprint,
 //	         yielding an exact per-slot hit mask per bucket. The loads
 //	         depend only on phase 1's indexes, never on each other, and
 //	         the hardware kernel prefetches the buckets a fixed distance
 //	         ahead, so a tile pays for its cache misses concurrently; on
 //	         a hit it also prefetches the first hit slot's flags byte
 //	         and attribute vector
-//	settle   keys with an empty mask pair (most negative probes) resolve
+//	settle   runs with an empty mask pair (most negative probes) resolve
 //	         with no further access; the rest test exactly the slots
 //	         their masks name, from lines phase 2 already requested
+//	scatter  copy each run's answer to every position it holds
 //
 // The same phase structure batches lookups in Cuckoo-GPU and the
 // memory-level-parallel hash-probe literature. Bucket sizes above
-// simd.MaxSlots run the scalar probe per key.
+// simd.MaxSlots run the scalar probe per run. A probe's answer depends
+// only on the key, the compiled predicate and the table, and the table
+// does not change during a batch, so every position of a run gets what
+// a probe of its own would return.
 //
 // Before the first tile the predicate is compiled once for the whole
 // batch (compiledPred). The settle then ends a key in its first pair
@@ -44,18 +53,23 @@ import (
 
 // probeTile is the batch pipeline's tile size: large enough to keep many
 // misses in flight, small enough that the scratch stays L1/L2-resident
-// (~11 KB).
+// (7.5 KB of arrays).
 const probeTile = 256
+
+// A run index is a byte (probeBatch.rid): this fails to compile when a
+// tile can hold more than 256 runs.
+const _ uint8 = probeTile - 1
 
 // probeBatch is the reusable per-call scratch of one batch probe. It
 // cycles through a pool so steady-state batched queries allocate nothing;
 // unlike the filter's mutation scratch it is not per-filter state, because
-// batch queries run concurrently with each other. The arrays are what the
-// simd kernels stream through: keys (scatter mode compacts the tile's
-// keys here so the hash kernel always sees a contiguous run), fpw (each
+// batch queries run concurrently with each other. The per-run arrays are
+// what the simd kernels stream through: keys (one key per run of the
+// tile, so the hash kernel always sees a contiguous array), fpw (each
 // fingerprint broadcast into all four 16-bit lanes, the mask kernel's
-// probe operand), and m1/m2 (the per-slot hit masks of the home and alt
-// bucket). cp is the batch's compiled predicate.
+// probe operand), m1/m2 (the per-slot hit masks of the home and alt
+// bucket) and ans (the settled answer). rid maps each tile position to
+// its run. cp is the batch's compiled predicate.
 type probeBatch struct {
 	keys [probeTile]uint64
 	fp   [probeTile]uint16
@@ -64,6 +78,8 @@ type probeBatch struct {
 	l2   [probeTile]uint32
 	m1   [probeTile]uint8
 	m2   [probeTile]uint8
+	rid  [probeTile]uint8
+	ans  [probeTile]bool
 	cp   compiledPred
 }
 
@@ -72,7 +88,8 @@ var probePool = sync.Pool{New: func() any { return new(probeBatch) }}
 // QueryBatchInto answers Query for every key under one predicate, writing
 // results into dst (grown if its capacity is short) and returning it. The
 // predicate is validated once; like Query, an invalid predicate
-// conservatively yields all true. Safe for concurrent readers.
+// conservatively yields all true. Equal adjacent keys are probed once
+// and share the answer. Safe for concurrent readers.
 func (f *Filter) QueryBatchInto(dst []bool, keys []uint64, pred Predicate) []bool {
 	out := boolResults(dst, len(keys))
 	if len(keys) == 0 {
@@ -105,7 +122,9 @@ func (f *Filter) ContainsBatchInto(dst []bool, keys []uint64) []bool {
 // sharded grouped probe: for each i in idxs it answers keys[i] into
 // out[i]; a nil idxs means all keys in order. pred must already have
 // passed Validate for this filter's NumAttrs (batch callers validate once
-// per group). out must be at least as long as keys.
+// per group). out must be at least as long as keys. Keys that are equal
+// and adjacent in probe order (keys[idxs[j]] and keys[idxs[j+1]]) within
+// a 256-key tile are probed once.
 func (f *Filter) QueryBatchIdx(out []bool, keys []uint64, idxs []int32, pred Predicate) {
 	pb := probePool.Get().(*probeBatch)
 	pb.cp.compile(f, pred)
@@ -113,9 +132,10 @@ func (f *Filter) QueryBatchIdx(out []bool, keys []uint64, idxs []int32, pred Pre
 	for base := 0; base < n; base += probeTile {
 		t := min(probeTile, n-base)
 		ti := sliceIdx(idxs, base, t)
-		f.hashTile(pb, keys, ti, base, t)
-		f.maskTile(pb, t)
-		f.queryTile(pb, out, ti, base, t)
+		runs := f.hashTile(pb, keys, ti, base, t)
+		f.maskTile(pb, runs)
+		f.queryTile(pb, runs)
+		pb.scatter(out, ti, base, t)
 	}
 	pb.cp.pred = nil // the pool must not keep the caller's value lists live
 	probePool.Put(pb)
@@ -129,9 +149,10 @@ func (f *Filter) ContainsBatchIdx(out []bool, keys []uint64, idxs []int32) {
 	for base := 0; base < n; base += probeTile {
 		t := min(probeTile, n-base)
 		ti := sliceIdx(idxs, base, t)
-		f.hashTile(pb, keys, ti, base, t)
-		f.maskTile(pb, t)
-		f.containsTile(pb, out, ti, base, t)
+		runs := f.hashTile(pb, keys, ti, base, t)
+		f.maskTile(pb, runs)
+		f.containsTile(pb, runs)
+		pb.scatter(out, ti, base, t)
 	}
 	probePool.Put(pb)
 }
@@ -160,68 +181,102 @@ func sliceIdx(idxs []int32, base, t int) []int32 {
 	return idxs[base : base+t]
 }
 
-// hashTile is phase 1: the HashFill kernel derives fingerprint, broadcast
-// fingerprint word, home bucket, and alt bucket for every key of the tile.
-// Scatter mode first compacts the tile's keys into pb.keys so the kernel
-// streams a contiguous run either way. The pre-mixed salts cost two Mix64
-// calls per 256-key tile — the kernel's per-key work is then exactly two
-// splitmix64 finalizers and an altOff memo lookup.
-func (f *Filter) hashTile(pb *probeBatch, keys []uint64, ti []int32, base, t int) {
-	kv := keys[base:]
-	if ti != nil {
-		for i, idx := range ti {
-			pb.keys[i] = keys[idx]
+// hashTile folds the tile's runs of equal consecutive keys into pb.keys,
+// one key per run, records each position's run in pb.rid, and returns
+// the run count. The fold has no data-dependent branch: every position
+// stores its key at the current run, which a key unequal to the previous
+// one first advances. Phase 1 follows: the HashFill kernel derives
+// fingerprint, broadcast fingerprint word, home bucket, and alt bucket
+// for every run. The pre-mixed salts cost two Mix64 calls per tile — the
+// kernel's per-key work is then exactly two splitmix64 finalizers and an
+// altOff memo lookup.
+func (f *Filter) hashTile(pb *probeBatch, keys []uint64, ti []int32, base, t int) int {
+	var r uint8
+	rid := pb.rid[:t]
+	if ti == nil {
+		kv := keys[base : base+len(rid)]
+		prev := kv[0]
+		for i, k := range kv {
+			r += neq(k, prev)
+			pb.keys[r], rid[i], prev = k, r, k
 		}
-		kv = pb.keys[:t]
+	} else {
+		ti = ti[:len(rid)]
+		prev := keys[ti[0]]
+		for i, idx := range ti {
+			k := keys[idx]
+			r += neq(k, prev)
+			pb.keys[r], rid[i], prev = k, r, k
+		}
 	}
+	n := int(r) + 1
 	seedFp := hashing.Salt(f.p.Seed ^ saltFp)
 	seedIdx := hashing.Salt(f.p.Seed ^ saltIndex)
-	simd.HashFill(kv, seedFp, seedIdx, f.fpMask, f.mask, f.altOff,
-		pb.fp[:], pb.fpw[:], pb.l1[:], pb.l2[:], t)
+	simd.HashFill(pb.keys[:n], seedFp, seedIdx, f.fpMask, f.mask, f.altOff,
+		pb.fp[:], pb.fpw[:], pb.l1[:], pb.l2[:], n)
+	return n
+}
+
+// neq is 1 when a != b and 0 otherwise; the compiler emits it as a
+// compare and a SETNE, no branch.
+func neq(a, b uint64) uint8 {
+	var d uint8
+	if a != b {
+		d = 1
+	}
+	return d
 }
 
 // maskTile is phase 2: the MaskSlots kernel writes the exact per-slot
-// hit masks of both candidate buckets for every key of the tile. Larger
-// buckets get no masks: their resolvers scan.
-func (f *Filter) maskTile(pb *probeBatch, t int) {
+// hit masks of both candidate buckets for each of the tile's n runs.
+// Larger buckets get no masks: their resolvers scan.
+func (f *Filter) maskTile(pb *probeBatch, n int) {
 	if f.bsz <= simd.MaxSlots {
 		simd.MaskSlots(f.fps, f.flags, f.attrs, f.bsz, f.nattr,
-			pb.l1[:], pb.l2[:], pb.fpw[:], pb.m1[:], pb.m2[:], t)
+			pb.l1[:], pb.l2[:], pb.fpw[:], pb.m1[:], pb.m2[:], n)
 	}
 }
 
-// outIdx maps tile position i to its result index.
-func outIdx(ti []int32, base, i int) int {
-	if ti != nil {
-		return int(ti[i])
-	}
-	return base + i
-}
-
-// queryTile is the settle phase of the predicate probe: it settles
-// every key of the tile from its first pair's hit masks. An empty mask
-// pair resolves the key with no slot-array access at all (false for
-// every variant: a chained walk with 0 < d copies ends at its first
-// pair); otherwise the masks name exactly the slots to test against the
-// compiled predicate.
-func (f *Filter) queryTile(pb *probeBatch, out []bool, ti []int32, base, t int) {
-	if f.bsz > simd.MaxSlots {
-		for i := 0; i < t; i++ {
-			out[outIdx(ti, base, i)] = f.queryFp(pb.fp[i], pb.l1[i], pb.cp.pred)
+// scatter copies each run's answer to every tile position the run holds,
+// at the position's result index.
+func (pb *probeBatch) scatter(out []bool, ti []int32, base, t int) {
+	rid := pb.rid[:t]
+	if ti == nil {
+		o := out[base : base+len(rid)]
+		for i, r := range rid {
+			o[i] = pb.ans[r]
 		}
 		return
 	}
-	for i := 0; i < t; i++ {
-		oi := outIdx(ti, base, i)
+	ti = ti[:len(rid)]
+	for i, r := range rid {
+		out[ti[i]] = pb.ans[r]
+	}
+}
+
+// queryTile is the settle phase of the predicate probe: it settles each
+// of the tile's n runs from its first pair's hit masks into pb.ans. An
+// empty mask pair resolves the run with no slot-array access at all
+// (false for every variant: a chained walk with 0 < d copies ends at its
+// first pair); otherwise the masks name exactly the slots to test
+// against the compiled predicate.
+func (f *Filter) queryTile(pb *probeBatch, n int) {
+	if f.bsz > simd.MaxSlots {
+		for i := 0; i < n; i++ {
+			pb.ans[i] = f.queryFp(pb.fp[i], pb.l1[i], pb.cp.pred)
+		}
+		return
+	}
+	for i := 0; i < n; i++ {
 		if pb.m1[i]|pb.m2[i] == 0 {
-			out[oi] = false
+			pb.ans[i] = false
 			continue
 		}
 		ans, done := f.settlePair(pb.l1[i], pb.l2[i], pb.m1[i], pb.m2[i], &pb.cp)
 		if !done {
 			ans = f.walkChain(pb.fp[i], pb.l1[i], &pb.cp)
 		}
-		out[oi] = ans
+		pb.ans[i] = ans
 	}
 }
 
@@ -278,17 +333,18 @@ func (f *Filter) slotsMatch(bucket uint32, mask uint8, cp *compiledPred) bool {
 }
 
 // containsTile is the settle phase of the key-only probe: any hit in
-// either mask is the whole answer (QueryKey semantics — every variant
-// keeps its key evidence in the first bucket pair, Lemma 2).
-func (f *Filter) containsTile(pb *probeBatch, out []bool, ti []int32, base, t int) {
+// either mask is the whole answer for each of the tile's n runs (QueryKey
+// semantics — every variant keeps its key evidence in the first bucket
+// pair, Lemma 2).
+func (f *Filter) containsTile(pb *probeBatch, n int) {
 	if f.bsz > simd.MaxSlots {
-		for i := 0; i < t; i++ {
+		for i := 0; i < n; i++ {
 			fp, l1, l2 := pb.fp[i], pb.l1[i], pb.l2[i]
-			out[outIdx(ti, base, i)] = f.bucketHasFp(l1, fp) || l2 != l1 && f.bucketHasFp(l2, fp)
+			pb.ans[i] = f.bucketHasFp(l1, fp) || l2 != l1 && f.bucketHasFp(l2, fp)
 		}
 		return
 	}
-	for i := 0; i < t; i++ {
-		out[outIdx(ti, base, i)] = pb.m1[i]|pb.m2[i] != 0
+	for i := 0; i < n; i++ {
+		pb.ans[i] = pb.m1[i]|pb.m2[i] != 0
 	}
 }

@@ -45,6 +45,19 @@ func loadBatchFilter(t *testing.T, p Params) (*Filter, []uint64) {
 	return f, keys
 }
 
+// withRuns repeats each key of keys in a run of 1, 2, 3, 4, 1, 2, 3, ...
+// positions, so 9 of every 16 positions repeat their predecessor: the
+// shape of a fact table that stores each join key's rows together.
+func withRuns(keys []uint64) []uint64 {
+	out := make([]uint64, 0, len(keys)*16/7+4)
+	for i, k := range keys {
+		for range 1 + i%7%4 {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
 func batchProbeKeys(keys []uint64) []uint64 {
 	rng := rand.New(rand.NewSource(202))
 	probe := make([]uint64, 4096)
