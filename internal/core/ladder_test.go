@@ -290,37 +290,42 @@ func TestLadderViewsAndFreeze(t *testing.T) {
 }
 
 // TestLadderBatchMatchesPoint cross-checks the multi-level batch
-// pipeline against scalar queries over present and absent keys.
+// pipeline against scalar queries over present and absent keys, probed
+// once each and again in runs of equal keys, on a ladder of exactly two
+// levels and on a deeper one.
 func TestLadderBatchMatchesPoint(t *testing.T) {
-	l, err := NewLadder(Params{Variant: VariantChained, NumAttrs: 2, Capacity: 512, Seed: 11},
-		LadderOptions{MaxLevels: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 2000
-	for i := 0; i < total; i++ {
-		k, attrs := ladderRow(i)
-		if err := l.Insert(k, attrs); err != nil {
+	for _, tc := range []struct{ maxLevels, rows int }{{5, 2000}, {2, 1000}} {
+		l, err := NewLadder(Params{Variant: VariantChained, NumAttrs: 2, Capacity: 512, Seed: 11},
+			LadderOptions{MaxLevels: tc.maxLevels})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if l.Levels() < 2 {
-		t.Fatalf("expected growth, got %d level(s)", l.Levels())
-	}
-	probe := make([]uint64, 0, 2*total)
-	for i := 0; i < total; i++ {
-		k, _ := ladderRow(i)
-		probe = append(probe, k, k^0xdeadbeef13371337) // present + likely-absent
-	}
-	pred := And(Eq(0, 2))
-	batch := l.QueryBatchInto(nil, probe, pred)
-	keyBatch := l.ContainsBatchInto(nil, probe)
-	for i, k := range probe {
-		if want := l.Query(k, pred); batch[i] != want {
-			t.Fatalf("batch[%d] = %v, point = %v (key %d)", i, batch[i], want, k)
+		for i := 0; i < tc.rows; i++ {
+			k, attrs := ladderRow(i)
+			if err := l.Insert(k, attrs); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if want := l.QueryKey(k); keyBatch[i] != want {
-			t.Fatalf("keyBatch[%d] = %v, point = %v (key %d)", i, keyBatch[i], want, k)
+		if l.Levels() < 2 {
+			t.Fatalf("expected growth, got %d level(s)", l.Levels())
+		}
+		probe := make([]uint64, 0, 2*tc.rows)
+		for i := 0; i < tc.rows; i++ {
+			k, _ := ladderRow(i)
+			probe = append(probe, k, k^0xdeadbeef13371337) // present + likely-absent
+		}
+		pred := And(Eq(0, 2))
+		for _, keys := range [][]uint64{probe, withRuns(probe)} {
+			batch := l.QueryBatchInto(nil, keys, pred)
+			keyBatch := l.ContainsBatchInto(nil, keys)
+			for i, k := range keys {
+				if want := l.Query(k, pred); batch[i] != want {
+					t.Fatalf("levels=%d: batch[%d] = %v, point = %v (key %d)", l.Levels(), i, batch[i], want, k)
+				}
+				if want := l.QueryKey(k); keyBatch[i] != want {
+					t.Fatalf("levels=%d: keyBatch[%d] = %v, point = %v (key %d)", l.Levels(), i, keyBatch[i], want, k)
+				}
+			}
 		}
 	}
 }

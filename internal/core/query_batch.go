@@ -18,11 +18,9 @@ import (
 // kernel from internal/simd (AVX2 when the hardware has it, the scalar
 // reference otherwise; see -probe-engine):
 //
-//	runs     fold each run of equal consecutive keys into one probe:
-//	         one key per run, and for each tile position the run that
-//	         holds it (fact-table rows repeat their join key, and a
-//	         table that stores a key's rows together repeats it in a
-//	         row; a key that recurs later in the tile is probed again)
+//	runs     fold each run of equal consecutive keys (a fact table's
+//	         rows of one join key) into one probe: one key per run, and
+//	         for each tile position the run that holds it
 //	phase 1  hash every run's key: fingerprint, home bucket, alt bucket
 //	         (pure ALU work the vector engine runs 4 keys wide)
 //	phase 2  read both candidate buckets' fingerprints in place and
@@ -40,10 +38,9 @@ import (
 //
 // The same phase structure batches lookups in Cuckoo-GPU and the
 // memory-level-parallel hash-probe literature. Bucket sizes above
-// simd.MaxSlots run the scalar probe per run. A probe's answer depends
-// only on the key, the compiled predicate and the table, and the table
-// does not change during a batch, so every position of a run gets what
-// a probe of its own would return.
+// simd.MaxSlots run the scalar probe per run. An answer depends only on
+// the key, the compiled predicate and the table, and no mutation may run
+// beside a batch, so each position of a run gets what its own probe would.
 //
 // Before the first tile the predicate is compiled once for the whole
 // batch (compiledPred). The settle then ends a key in its first pair
@@ -56,8 +53,7 @@ import (
 // (7.5 KB of arrays).
 const probeTile = 256
 
-// A run index is a byte (probeBatch.rid): this fails to compile when a
-// tile can hold more than 256 runs.
+// rid holds a run index in a byte: this fails to compile if probeTile > 256.
 const _ uint8 = probeTile - 1
 
 // probeBatch is the reusable per-call scratch of one batch probe. It
@@ -122,9 +118,8 @@ func (f *Filter) ContainsBatchInto(dst []bool, keys []uint64) []bool {
 // sharded grouped probe: for each i in idxs it answers keys[i] into
 // out[i]; a nil idxs means all keys in order. pred must already have
 // passed Validate for this filter's NumAttrs (batch callers validate once
-// per group). out must be at least as long as keys. Keys that are equal
-// and adjacent in probe order (keys[idxs[j]] and keys[idxs[j+1]]) within
-// a 256-key tile are probed once.
+// per group). out must be at least as long as keys. Equal keys adjacent
+// in idxs order within a 256-key tile are probed once.
 func (f *Filter) QueryBatchIdx(out []bool, keys []uint64, idxs []int32, pred Predicate) {
 	pb := probePool.Get().(*probeBatch)
 	pb.cp.compile(f, pred)
@@ -201,7 +196,7 @@ func (f *Filter) hashTile(pb *probeBatch, keys []uint64, ti []int32, base, t int
 			pb.keys[r], rid[i], prev = k, r, k
 		}
 	} else {
-		ti = ti[:len(rid)]
+		ti = ti[:len(rid)] // so rid[i] needs no bounds check
 		prev := keys[ti[0]]
 		for i, idx := range ti {
 			k := keys[idx]
@@ -217,8 +212,7 @@ func (f *Filter) hashTile(pb *probeBatch, keys []uint64, ti []int32, base, t int
 	return n
 }
 
-// neq is 1 when a != b and 0 otherwise; the compiler emits it as a
-// compare and a SETNE, no branch.
+// neq is 1 when a != b, else 0: a compare and a SETNE, no branch.
 func neq(a, b uint64) uint8 {
 	var d uint8
 	if a != b {
@@ -248,7 +242,7 @@ func (pb *probeBatch) scatter(out []bool, ti []int32, base, t int) {
 		}
 		return
 	}
-	ti = ti[:len(rid)]
+	ti = ti[:len(rid)] // so ti[i] needs no bounds check
 	for i, r := range rid {
 		out[ti[i]] = pb.ans[r]
 	}
@@ -332,10 +326,9 @@ func (f *Filter) slotsMatch(bucket uint32, mask uint8, cp *compiledPred) bool {
 	return false
 }
 
-// containsTile is the settle phase of the key-only probe: any hit in
-// either mask is the whole answer for each of the tile's n runs (QueryKey
-// semantics — every variant keeps its key evidence in the first bucket
-// pair, Lemma 2).
+// containsTile is the settle phase of the key-only probe over n runs:
+// any hit in either mask is the whole answer (QueryKey semantics — every
+// variant keeps its key evidence in the first bucket pair, Lemma 2).
 func (f *Filter) containsTile(pb *probeBatch, n int) {
 	if f.bsz > simd.MaxSlots {
 		for i := 0; i < n; i++ {

@@ -58,14 +58,19 @@ func withRuns(keys []uint64) []uint64 {
 	return out
 }
 
+// batchProbeKeys returns 4096 probe keys in runs of 1 to 8 equal keys,
+// alternately a present key and one almost surely absent, so the tile
+// pipeline folds runs, including some across a tile boundary.
 func batchProbeKeys(keys []uint64) []uint64 {
 	rng := rand.New(rand.NewSource(202))
-	probe := make([]uint64, 4096)
-	for i := range probe {
+	probe := make([]uint64, 0, 4096)
+	for i := 0; len(probe) < cap(probe); i++ {
+		k := rng.Uint64() // almost surely absent
 		if i%2 == 0 {
-			probe[i] = keys[rng.Intn(len(keys))] // present
-		} else {
-			probe[i] = rng.Uint64() // almost surely absent
+			k = keys[rng.Intn(len(keys))] // present
+		}
+		for n := min(1+rng.Intn(8), cap(probe)-len(probe)); n > 0; n-- {
+			probe = append(probe, k)
 		}
 	}
 	return probe

@@ -14,7 +14,9 @@ import "testing"
 // form, 12 the scalar per-key fallback above simd.MaxSlots; AttrBits 16
 // needs the widest compiled bitmaps and 3 makes most values hashed.
 // Direct tombstoning exercises the resolver's flagged-slot handling
-// against entryMatches.
+// against entryMatches. A second probe sequence repeats keys in runs,
+// which the tile pipeline probes once each: the tape picks each run's
+// key and length, and one run crosses the first tile boundary.
 func FuzzSIMDEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(0), uint8(1))
 	f.Add([]byte{0xff, 0x80, 0x01, 0x10, 0x20, 0x30}, uint8(1), uint8(0))
@@ -25,6 +27,9 @@ func FuzzSIMDEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 2, 2, 3, 3, 4, 4}, uint8(3), uint8(9))
 	f.Add([]byte{0x85, 1, 0x85, 0x81, 0x85, 0x91, 0x85, 0xc1, 2, 0x81}, uint8(1), uint8(27))
 	f.Add([]byte{0x85, 1, 0x85, 0x81, 0x85, 0x91, 0x85, 0xc1, 2, 0x81}, uint8(1), uint8(6))
+	// Chained b = 6, d = 3: key 9's seven distinct rows fill two pairs
+	// and reach a third; its runs alternate with absent key 1009's.
+	f.Add([]byte{9, 1, 9, 2, 0x89, 38, 9, 3, 9, 4, 0x89, 5, 9, 5, 9, 39}, uint8(1), uint8(3))
 	f.Fuzz(func(t *testing.T, tape []byte, variantSel, shapeSel uint8) {
 		variant := []Variant{VariantPlain, VariantChained, VariantBloom, VariantMixed}[variantSel%4]
 		bsz := []int{4, 2, 8, 6, 3, 12, 5, 7}[shapeSel%8]
@@ -85,6 +90,28 @@ func FuzzSIMDEquivalence(f *testing.F) {
 		for k := uint64(0); k < 160; k++ {
 			keys = append(keys, k, k*0x9e3779b97f4a7c15)
 		}
+		// Then runs of equal keys: 250 distinct keys, a run of the first
+		// inserted key over positions 250–261, and one run per tape pair
+		// of its key (or, with the high bit set, of a key never inserted)
+		// with a length of 1 to 40. A key inserted with several rows runs
+		// past its first pair.
+		first := uint64(9)
+		if len(tape) > 0 {
+			first = uint64(tape[0]) % 128
+		}
+		runs := append(make([]uint64, 0, 262+20*len(tape)), keys[2:252]...)
+		for i := 0; i < 12; i++ {
+			runs = append(runs, first)
+		}
+		for i := 0; i+1 < len(tape); i += 2 {
+			k := uint64(tape[i]) % 128
+			if tape[i]&0x80 != 0 {
+				k += 1000
+			}
+			for j := 0; j <= int(tape[i+1])%40; j++ {
+				runs = append(runs, k)
+			}
+		}
 		var v0, v1 uint64
 		if len(tape) > 0 {
 			v0, v1 = attr(tape[0]), attr(tape[len(tape)-1])
@@ -100,36 +127,47 @@ func FuzzSIMDEquivalence(f *testing.F) {
 		if nattr == 2 {
 			preds = append(preds, And(Eq(0, v1), In(1, 0, 2, v0)))
 		}
-		for _, pred := range preds {
-			got := filt.QueryBatchInto(nil, keys, pred)
-			for i, k := range keys {
-				if want := filt.Query(k, pred); got[i] != want {
-					t.Fatalf("%s b=%d kb=%d ab=%d pred=%v: QueryBatch(key %#x) = %v, point Query = %v",
-						variant, bsz, keyBits, attrBits, pred, k, got[i], want)
-				}
-			}
-			// Scatter form, reversed order, holes left untouched.
-			idxs := make([]int32, 0, len(keys))
-			for i := len(keys) - 1; i >= 0; i-- {
-				if i%3 != 0 {
-					idxs = append(idxs, int32(i))
-				}
-			}
-			out := make([]bool, len(keys))
-			filt.QueryBatchIdx(out, keys, idxs, pred)
-			for _, i := range idxs {
-				if want := filt.Query(keys[i], pred); out[i] != want {
-					t.Fatalf("%s b=%d ab=%d pred=%v: QueryBatchIdx(key %#x) = %v, point Query = %v",
-						variant, bsz, attrBits, pred, keys[i], out[i], want)
-				}
-			}
-		}
-		gotC := filt.ContainsBatchInto(nil, keys)
-		for i, k := range keys {
-			if want := filt.QueryKey(k); gotC[i] != want {
-				t.Fatalf("%s b=%d kb=%d: ContainsBatch(key %#x) = %v, QueryKey = %v",
-					variant, bsz, keyBits, k, gotC[i], want)
-			}
+		for _, probe := range [][]uint64{keys, runs} {
+			checkBatchAgainstPoint(t, filt, probe, preds)
 		}
 	})
+}
+
+// checkBatchAgainstPoint compares every batch form against the point
+// probes over probe: QueryBatchInto and a scatter QueryBatchIdx against
+// Query for each predicate, and ContainsBatchInto against QueryKey.
+func checkBatchAgainstPoint(t *testing.T, filt *Filter, probe []uint64, preds []Predicate) {
+	t.Helper()
+	p := filt.p
+	for _, pred := range preds {
+		got := filt.QueryBatchInto(nil, probe, pred)
+		for i, k := range probe {
+			if want := filt.Query(k, pred); got[i] != want {
+				t.Fatalf("%s b=%d kb=%d ab=%d pred=%v: QueryBatch(key[%d] %#x) = %v, point Query = %v",
+					p.Variant, p.BucketSize, p.KeyBits, p.AttrBits, pred, i, k, got[i], want)
+			}
+		}
+		// Scatter form, reversed order, holes left untouched.
+		idxs := make([]int32, 0, len(probe))
+		for i := len(probe) - 1; i >= 0; i-- {
+			if i%3 != 0 {
+				idxs = append(idxs, int32(i))
+			}
+		}
+		out := make([]bool, len(probe))
+		filt.QueryBatchIdx(out, probe, idxs, pred)
+		for _, i := range idxs {
+			if want := filt.Query(probe[i], pred); out[i] != want {
+				t.Fatalf("%s b=%d ab=%d pred=%v: QueryBatchIdx(key[%d] %#x) = %v, point Query = %v",
+					p.Variant, p.BucketSize, p.AttrBits, pred, i, probe[i], out[i], want)
+			}
+		}
+	}
+	gotC := filt.ContainsBatchInto(nil, probe)
+	for i, k := range probe {
+		if want := filt.QueryKey(k); gotC[i] != want {
+			t.Fatalf("%s b=%d kb=%d: ContainsBatch(key[%d] %#x) = %v, QueryKey = %v",
+				p.Variant, p.BucketSize, p.KeyBits, i, k, gotC[i], want)
+		}
+	}
 }

@@ -202,6 +202,67 @@ func TestBackgroundSpans(t *testing.T) {
 	}
 }
 
+// TestCallSiteAttrsSurvive opens one span per call site in the serving
+// packages, with that site's attributes, and checks that the recorder
+// keeps every attribute after End (and the root's status after Finish).
+// A span holds at most maxAttrs attributes and drops the rest silently,
+// so a call site that gains one must be added here.
+func TestCallSiteAttrsSurvive(t *testing.T) {
+	for _, site := range []struct {
+		name  string
+		phase Phase
+		keys  []AttrKey
+		bg    bool
+	}{
+		{"shard.queryShardGroup", PhaseShardProbe, []AttrKey{AttrShard, AttrKeys, AttrLevels}, false},
+		{"server.queryFrame/decode", PhaseDecode, []AttrKey{AttrKeys, AttrBytes}, false},
+		{"server.queryFrame/encode", PhaseEncode, []AttrKey{AttrKeys, AttrBytes}, false},
+		{"server.insertFrame/decode", PhaseDecode, []AttrKey{AttrRows, AttrBytes}, false},
+		{"server.insertFrame/encode", PhaseEncode, []AttrKey{AttrRows, AttrBytes}, false},
+		{"server.buildMux/insert-decode", PhaseDecode, []AttrKey{AttrRows}, false},
+		{"server.buildMux/query-decode", PhaseDecode, []AttrKey{AttrKeys}, false},
+		{"server.Server.query/view", PhaseViewProbe, []AttrKey{AttrKeys}, false},
+		{"server.Entry.InsertBatch", PhaseApply, []AttrKey{AttrRows}, false},
+		{"server.Entry.maybeAutoGrow", PhaseGrow, []AttrKey{AttrShard, AttrLevels}, false},
+		{"store.InsertBatchTraced/wal", PhaseWALAppend, []AttrKey{AttrRows, AttrSeq}, false},
+		{"store.InsertBatchTraced/apply", PhaseApply, []AttrKey{AttrRows}, false},
+		{"store.InsertBatchTraced/fsync", PhaseFsyncWait, []AttrKey{AttrSeq}, false},
+		{"store.Open", PhaseRecovery, []AttrKey{AttrFilters, AttrRecords}, true},
+		{"store.Checkpoint", PhaseCheckpoint, []AttrKey{AttrSeq, AttrBytes}, true},
+		{"store.Fold", PhaseFold, []AttrKey{AttrRows}, true},
+	} {
+		rec := NewRecorder(1, 1)
+		tr := New(Options{SampleEvery: 1, Recorder: rec})
+		var sp Span
+		if site.bg {
+			bg := tr.StartBackground(site.phase, ID{})
+			for i, k := range site.keys {
+				bg.Attr(k, int64(100+i))
+			}
+			bg.End()
+			sp = rec.Background()[0]
+		} else {
+			r := tr.StartRequest("")
+			s := r.Start(site.phase)
+			for i, k := range site.keys {
+				s.Attr(k, int64(100+i))
+			}
+			s.End()
+			tr.Finish(r, 201)
+			spans := rec.Sampled()[0].Spans
+			if st, ok := spans[0].Attr(AttrStatus); !ok || st != 201 {
+				t.Errorf("%s: root status = %d, %v; want 201", site.name, st, ok)
+			}
+			sp = spans[1]
+		}
+		for i, k := range site.keys {
+			if v, ok := sp.Attr(k); !ok || v != int64(100+i) {
+				t.Errorf("%s: %s attr = %d, %v; want %d", site.name, k, v, ok, 100+i)
+			}
+		}
+	}
+}
+
 func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
 	r := tr.StartRequest("00-0123456789abcdeffedcba9876543210-deadbeefcafef00d-01")

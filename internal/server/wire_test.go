@@ -488,6 +488,18 @@ func allocQueryFrame(n int) []byte {
 	return wire.AppendQuery(nil, "movies", []wire.Cond{{Attr: 0, Values: []uint64{1, 2}}}, presentKeys(n), false)
 }
 
+// runsQueryFrame is allocQueryFrame with its n keys in runs of 1 to 4
+// equal keys, as a fact table's join column holds them.
+func runsQueryFrame(n int) []byte {
+	keys := make([]uint64, 0, n)
+	for i, k := range presentKeys(n) {
+		for j := 0; j <= i%4 && len(keys) < n; j++ {
+			keys = append(keys, k)
+		}
+	}
+	return wire.AppendQuery(nil, "movies", []wire.Cond{{Attr: 0, Values: []uint64{1, 2}}}, keys, false)
+}
+
 // roundTrip runs one decode→core→encode cycle exactly as the TCP loop
 // does, minus the socket: the binary codec shell decodes the frame and
 // calls the request core, which probes or inserts, and the shell encodes
@@ -527,7 +539,7 @@ func TestWireZeroAllocRoundTrip(t *testing.T) {
 		for _, q := range []struct {
 			name  string
 			frame []byte
-		}{{"query", allocQueryFrame(64)}, {"query1024", allocQueryFrame(1024)}} {
+		}{{"query", allocQueryFrame(64)}, {"query1024", allocQueryFrame(1024)}, {"query1024runs", runsQueryFrame(1024)}} {
 			t.Run(tc.name+"/"+q.name, func(t *testing.T) {
 				s, _, ws, _, _ := wireAllocServer(t, tc.tracer)
 				run := func() {

@@ -66,13 +66,16 @@ func TestQueryBatchIntoSteadyStateZeroAlloc(t *testing.T) {
 	} {
 		s, keys := loadedOpts(t, tc.opts, 1<<13)
 		pred := core.And(core.Eq(0, 3))
-		batch := keys[:1024]
-		dst := make([]bool, 0, len(batch))
-		dst = s.QueryBatchInto(dst, batch, pred) // warm the grouping scratch pool
-		if n := testing.AllocsPerRun(200, func() {
-			dst = s.QueryBatchInto(dst[:0], batch, pred)
-		}); n != 0 {
-			t.Errorf("%s: QueryBatchInto allocates %.2f allocs/op, want 0", tc.name, n)
+		// Distinct keys, and keys repeating in runs of 1 to 4.
+		for j, batch := range [][]uint64{keys[:1024], withRuns(keys)[:1024]} {
+			dst := make([]bool, 0, len(batch))
+			dst = s.QueryBatchInto(dst, batch, pred) // warm the grouping scratch pool
+			if n := testing.AllocsPerRun(200, func() {
+				dst = s.QueryBatchInto(dst[:0], batch, pred)
+			}); n != 0 {
+				t.Errorf("%s/%s: QueryBatchInto allocates %.2f allocs/op, want 0",
+					tc.name, []string{"distinct", "runs"}[j], n)
+			}
 		}
 	}
 }

@@ -326,6 +326,60 @@ func TestGrowFoldTorture(t *testing.T) {
 	}
 }
 
+// withRuns repeats each key of keys in a run of 1, 2, 3, 4, 1, 2, 3, ...
+// positions, the shape of a fact table that stores each join key's rows
+// together.
+func withRuns(keys []uint64) []uint64 {
+	out := make([]uint64, 0, len(keys)*16/7+4)
+	for i, k := range keys {
+		for range 1 + i%7%4 {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// TestQueryBatchContextRunsMatchPointProbes: a 4-shard request whose
+// keys repeat in runs, present and absent alike, answers what per-key
+// Query and QueryKey answer. Each shard group keeps its keys in request
+// order, so a run stays a run within its group and the tile pipeline
+// probes it once.
+func TestQueryBatchContextRunsMatchPointProbes(t *testing.T) {
+	s, err := New(Options{Shards: 4, Params: core.Params{NumAttrs: 2, Capacity: 1 << 12, Seed: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, attrs := mkRows(2048)
+	for i, err := range s.InsertBatch(keys, attrs) {
+		if err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
+	}
+	probe := make([]uint64, 0, 2*len(keys))
+	for _, k := range keys {
+		probe = append(probe, k, k^0x5bd1e9955bd1e995)
+	}
+	probe = withRuns(probe)
+	for _, pred := range []core.Predicate{nil, core.And(core.Eq(0, 3)), core.And(core.In(0, 1, 2), core.Eq(1, 0))} {
+		for lo := 0; lo < len(probe); lo += 1024 {
+			req := probe[lo:min(lo+1024, len(probe))]
+			got, err := s.QueryBatchContext(context.Background(), nil, req, pred, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range req {
+				want := s.Query(k, pred)
+				if len(pred) == 0 {
+					want = s.QueryKey(k)
+				}
+				if got[i] != want {
+					t.Fatalf("pred=%v: key[%d] %d batch %v, point %v", pred, lo+i, k, got[i], want)
+				}
+			}
+		}
+	}
+}
+
 // TestQueryBatchContextMatchesPointProbes is the differential check on the
 // one batch entry point over a 2-shard filter grown past one level: the
 // empty predicate answers exactly what point QueryKey answers, and a
