@@ -113,7 +113,7 @@ func TestCrashHelperProcess(t *testing.T) {
 	fmt.Printf("CCFD_ADDR=%s\n", ln.Addr())
 	os.Stdout.Sync()
 	cfg := serveConfig{
-		cacheCap: 16, dataDir: dir, fsync: store.FsyncAlways,
+		dataDir: dir, fsync: store.FsyncAlways,
 		flushEvery: time.Millisecond, autoGrow: true, quiet: true,
 	}
 	if sched := os.Getenv(crashFaultsEnv); sched != "" {

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	ccfd serve [-addr :8437] [-cache 64] [-max-body 67108864]
+//	ccfd serve [-addr :8437] [-max-body 67108864]
 //	           [-data-dir DIR] [-fsync always|interval|never]
 //	           [-fsync-interval 5ms] [-checkpoint-bytes N]
 //	           [-checkpoint-records N] [-pprof-addr 127.0.0.1:6060]
@@ -21,8 +21,8 @@
 //
 //	PUT    /filters/{name}           create or replace a filter
 //	POST   /filters/{name}/insert    batched inserts
-//	POST   /filters/{name}/query     batched queries (via_view caches
-//	                                 predicate key-views across requests)
+//	POST   /filters/{name}/query     batched queries (a via_view hint is
+//	                                 accepted and ignored)
 //	GET    /filters/{name}/stats     one filter's stats
 //	GET    /filters/{name}/snapshot  binary snapshot
 //	POST   /filters/{name}/restore   restore from a snapshot
@@ -134,7 +134,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  ccfd serve [-addr :8437] [-cache 64] [-max-body BYTES]
+  ccfd serve [-addr :8437] [-max-body BYTES]
              [-data-dir DIR] [-fsync always|interval|never]
              [-fsync-interval 5ms] [-checkpoint-bytes N] [-checkpoint-records N]
              [-pprof-addr 127.0.0.1:6060] [-auto-grow]
@@ -150,7 +150,6 @@ func usage() {
 // serveConfig carries everything serveUntilDone needs; tests build it
 // directly and drive the loop with a cancelable context.
 type serveConfig struct {
-	cacheCap    int
 	maxBody     int64
 	dataDir     string // empty = in-memory only
 	fsync       store.FsyncPolicy
@@ -182,7 +181,6 @@ type serveConfig struct {
 func serveCmd(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8437", "listen address")
-	cache := fs.Int("cache", server.DefaultViewCacheCap, "predicate view-cache capacity per filter")
 	maxBody := fs.Int64("max-body", server.DefaultMaxBodyBytes, "maximum HTTP request body / wire frame payload bytes (oversize gets 413 or a too_large error frame)")
 	wireAddr := fs.String("wire-addr", "", "also serve the binary wire protocol on this raw-TCP address (empty = disabled); see the README's Wire protocol section")
 	dataDir := fs.String("data-dir", "", "durable store directory (empty = in-memory only)")
@@ -225,7 +223,6 @@ func serveCmd(args []string) error {
 		return err
 	}
 	cfg := serveConfig{
-		cacheCap:    *cache,
 		maxBody:     *maxBody,
 		wireAddr:    *wireAddr,
 		dataDir:     *dataDir,
@@ -402,7 +399,7 @@ func serveUntilDone(ctx context.Context, ln net.Listener, cfg serveConfig) error
 			tracer.PhaseHistogram(p), obs.Label{Key: "phase", Value: p.String()})
 	}
 	health := &server.Health{}
-	reg := server.NewRegistry(cfg.cacheCap)
+	reg := server.NewRegistry(0)
 	reg.AttachObs(om)
 	if cfg.autoGrow {
 		p := server.DefaultAutoGrowPolicy()

@@ -21,9 +21,6 @@ import (
 // its base URL plus a shutdown function that waits for graceful exit.
 func startDaemon(t *testing.T, cfg serveConfig) (string, func() error) {
 	t.Helper()
-	if cfg.cacheCap == 0 {
-		cfg.cacheCap = 16
-	}
 	cfg.quiet = true
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -120,7 +117,6 @@ func TestDaemonServesConcurrentBatches(t *testing.T) {
 				post(t, url+"/filters/jobs/query", server.QueryRequest{
 					Keys:      keys,
 					Predicate: []server.CondJSON{{Attr: 0, Values: []uint64{0, 1, 2, 3}}},
-					ViaView:   it%2 == 1,
 				}, &q)
 				for i, ok := range q.Results {
 					if !ok {

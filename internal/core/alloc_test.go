@@ -130,9 +130,9 @@ func TestQueryBatchSteadyStateZeroAlloc(t *testing.T) {
 				t.Errorf("%s: AttrBits-16 in-list QueryBatchInto allocates %.2f allocs/op, want 0", v, n)
 			}
 			if n := testing.AllocsPerRun(100, func() {
-				dst = f.ContainsBatchInto(dst[:0], keys)
+				dst = f.QueryBatchInto(dst[:0], keys, nil)
 			}); n != 0 {
-				t.Errorf("%s: ContainsBatchInto allocates %.2f allocs/op, want 0", v, n)
+				t.Errorf("%s: key-only QueryBatchInto allocates %.2f allocs/op, want 0", v, n)
 			}
 		})
 	}
@@ -239,20 +239,20 @@ func TestQueryBatchEngineEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			autoQ := f.QueryBatchInto(nil, keys, pred)
-			autoC := f.ContainsBatchInto(nil, keys)
+			autoK := f.QueryBatchInto(nil, keys, nil)
 			if err := simd.SetEngine("scalar"); err != nil {
 				t.Fatal(err)
 			}
 			scalQ := f.QueryBatchInto(nil, keys, pred)
-			scalC := f.ContainsBatchInto(nil, keys)
-			for i := range keys {
+			scalK := f.QueryBatchInto(nil, keys, nil)
+			for i, k := range keys {
 				if autoQ[i] != scalQ[i] {
 					t.Fatalf("key %#x: QueryBatch %v under %s, %v under scalar",
-						keys[i], autoQ[i], simd.Best(), scalQ[i])
+						k, autoQ[i], simd.Best(), scalQ[i])
 				}
-				if autoC[i] != scalC[i] {
-					t.Fatalf("key %#x: ContainsBatch %v under %s, %v under scalar",
-						keys[i], autoC[i], simd.Best(), scalC[i])
+				if want := f.QueryKey(k); autoK[i] != want || scalK[i] != want {
+					t.Fatalf("key %#x: key-only QueryBatch %v under %s, %v under scalar, QueryKey %v",
+						k, autoK[i], simd.Best(), scalK[i], want)
 				}
 			}
 			if raceEnabled {
@@ -316,9 +316,9 @@ func TestLadderQueryBatchZeroAlloc(t *testing.T) {
 		t.Errorf("AttrBits-16 ladder QueryBatchInto with an in-list allocates %.2f allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		out = l.ContainsBatchInto(out[:0], batch)
+		out = l.QueryBatchInto(out[:0], batch, nil)
 	}); n != 0 {
-		t.Errorf("ladder ContainsBatchInto allocates %.2f allocs/op, want 0", n)
+		t.Errorf("ladder key-only QueryBatchInto allocates %.2f allocs/op, want 0", n)
 	}
 }
 

@@ -322,12 +322,6 @@ func (l *Ladder) QueryBatchInto(dst []bool, keys []uint64, pred Predicate) []boo
 	return out
 }
 
-// ContainsBatchInto is the batched QueryKey across levels: the empty
-// predicate through QueryBatchInto (see QueryBatchIdxWalk).
-func (l *Ladder) ContainsBatchInto(dst []bool, keys []uint64) []bool {
-	return l.QueryBatchInto(dst, keys, nil)
-}
-
 // Aggregate accessors.
 
 // Rows returns the rows accepted across all levels.

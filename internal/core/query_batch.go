@@ -84,8 +84,10 @@ var probePool = sync.Pool{New: func() any { return new(probeBatch) }}
 // QueryBatchInto answers Query for every key under one predicate, writing
 // results into dst (grown if its capacity is short) and returning it. The
 // predicate is validated once; like Query, an invalid predicate
-// conservatively yields all true. Equal adjacent keys are probed once
-// and share the answer. Safe for concurrent readers.
+// conservatively yields all true. A nil or empty pred is key membership:
+// since only KeyView clones carry tombstones, it answers what QueryKey
+// answers. Equal adjacent keys are probed once and share the answer.
+// Safe for concurrent readers.
 func (f *Filter) QueryBatchInto(dst []bool, keys []uint64, pred Predicate) []bool {
 	out := boolResults(dst, len(keys))
 	if len(keys) == 0 {
@@ -98,19 +100,6 @@ func (f *Filter) QueryBatchInto(dst []bool, keys []uint64, pred Predicate) []boo
 		return out
 	}
 	f.QueryBatchIdx(out, keys, nil, pred)
-	return out
-}
-
-// ContainsBatchInto is the batched QueryKey: one key-membership answer per
-// key, predicate-free, written into dst (grown if its capacity is short).
-// For bucket sizes up to simd.MaxSlots each answer is whether the mask
-// pair is nonzero — no slot work at all. Safe for concurrent readers.
-func (f *Filter) ContainsBatchInto(dst []bool, keys []uint64) []bool {
-	out := boolResults(dst, len(keys))
-	if len(keys) == 0 {
-		return out
-	}
-	f.ContainsBatchIdx(out, keys, nil)
 	return out
 }
 
@@ -133,22 +122,6 @@ func (f *Filter) QueryBatchIdx(out []bool, keys []uint64, idxs []int32, pred Pre
 		pb.scatter(out, ti, base, t)
 	}
 	pb.cp.pred = nil // the pool must not keep the caller's value lists live
-	probePool.Put(pb)
-}
-
-// ContainsBatchIdx is the scatter/gather form of ContainsBatchInto; see
-// QueryBatchIdx for the idxs contract.
-func (f *Filter) ContainsBatchIdx(out []bool, keys []uint64, idxs []int32) {
-	pb := probePool.Get().(*probeBatch)
-	n := tileCount(keys, idxs)
-	for base := 0; base < n; base += probeTile {
-		t := min(probeTile, n-base)
-		ti := sliceIdx(idxs, base, t)
-		runs := f.hashTile(pb, keys, ti, base, t)
-		f.maskTile(pb, runs)
-		f.containsTile(pb, runs)
-		pb.scatter(out, ti, base, t)
-	}
 	probePool.Put(pb)
 }
 
@@ -324,20 +297,4 @@ func (f *Filter) slotsMatch(bucket uint32, mask uint8, cp *compiledPred) bool {
 		}
 	}
 	return false
-}
-
-// containsTile is the settle phase of the key-only probe over n runs:
-// any hit in either mask is the whole answer (QueryKey semantics — every
-// variant keeps its key evidence in the first bucket pair, Lemma 2).
-func (f *Filter) containsTile(pb *probeBatch, n int) {
-	if f.bsz > simd.MaxSlots {
-		for i := 0; i < n; i++ {
-			fp, l1, l2 := pb.fp[i], pb.l1[i], pb.l2[i]
-			pb.ans[i] = f.bucketHasFp(l1, fp) || l2 != l1 && f.bucketHasFp(l2, fp)
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		pb.ans[i] = pb.m1[i]|pb.m2[i] != 0
-	}
 }

@@ -10,10 +10,10 @@ import (
 
 // The batch pipeline must be answer-identical to the scalar probes: it is
 // the same algorithm with its memory accesses rescheduled. These tests
-// differential-check QueryBatchInto/ContainsBatchInto (and their indexed
-// forms) against Query/QueryKey over every variant, at b = 4 and at the
-// b = 6 the chained default uses, with duplicate-heavy rows so chains and
-// conversions actually occur.
+// differential-check QueryBatchInto and its indexed form against Query,
+// and its key-only form (a nil predicate) against QueryKey, over every
+// variant, at b = 4 and at the b = 6 the chained default uses, with
+// duplicate-heavy rows so chains and conversions actually occur.
 
 func batchTestFilter(t *testing.T, v Variant, bucketSize int) (*Filter, []uint64) {
 	t.Helper()
@@ -155,12 +155,14 @@ func TestQueryBatchIdxScatters(t *testing.T) {
 	}
 }
 
+// TestContainsBatchMatchesQueryKey: the key-only batch probe, a nil
+// predicate through QueryBatchInto, answers what QueryKey answers.
 func TestContainsBatchMatchesQueryKey(t *testing.T) {
 	for _, v := range allVariants() {
 		for _, bsz := range []int{4, 6} {
 			f, keys := batchTestFilter(t, v, bsz)
 			probe := batchProbeKeys(keys)
-			got := f.ContainsBatchInto(nil, probe)
+			got := f.QueryBatchInto(nil, probe, nil)
 			for i, k := range probe {
 				if want := f.QueryKey(k); got[i] != want {
 					t.Fatalf("%s b=%d key[%d]: batch=%v QueryKey=%v", v, bsz, i, got[i], want)

@@ -30,6 +30,11 @@ func FuzzSIMDEquivalence(f *testing.F) {
 	// Chained b = 6, d = 3: key 9's seven distinct rows fill two pairs
 	// and reach a third; its runs alternate with absent key 1009's.
 	f.Add([]byte{9, 1, 9, 2, 0x89, 38, 9, 3, 9, 4, 0x89, 5, 9, 5, 9, 39}, uint8(1), uint8(3))
+	// b = 12 probes each run through the scalar fallback above
+	// simd.MaxSlots, key-only probes included: chained with two
+	// attributes, and mixed.
+	f.Add([]byte{9, 1, 9, 2, 9, 3, 0x89, 4, 3, 5, 3, 0x86}, uint8(5), uint8(5))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(3), uint8(13))
 	f.Fuzz(func(t *testing.T, tape []byte, variantSel, shapeSel uint8) {
 		variant := []Variant{VariantPlain, VariantChained, VariantBloom, VariantMixed}[variantSel%4]
 		bsz := []int{4, 2, 8, 6, 3, 12, 5, 7}[shapeSel%8]
@@ -72,18 +77,6 @@ func FuzzSIMDEquivalence(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		// Tombstone some occupied slots directly (what a predicate view's
-		// erase leaves behind): still a fingerprint hit in the slot mask,
-		// never a predicate match.
-		for i := 0; i+1 < len(tape); i += 2 {
-			if tape[i]%5 != 0 {
-				continue
-			}
-			idx := int(tape[i+1]) % len(filt.fps)
-			if filt.fps[idx] != 0 {
-				filt.flags[idx] |= flagTombstone
-			}
-		}
 		// Probe inserted and absent keys, enough of them that the batch
 		// crosses a tile boundary.
 		keys := make([]uint64, 0, 320)
@@ -112,6 +105,23 @@ func FuzzSIMDEquivalence(f *testing.F) {
 				runs = append(runs, k)
 			}
 		}
+		// Key membership first, while the table holds what a filter
+		// holds: the key-only batch probe against QueryKey.
+		for _, probe := range [][]uint64{keys, runs} {
+			checkKeyOnlyAgainstQueryKey(t, filt, probe)
+		}
+		// Tombstone some occupied slots directly (what a predicate view's
+		// erase leaves behind): still a fingerprint hit in the slot mask,
+		// never a predicate match.
+		for i := 0; i+1 < len(tape); i += 2 {
+			if tape[i]%5 != 0 {
+				continue
+			}
+			idx := int(tape[i+1]) % len(filt.fps)
+			if filt.fps[idx] != 0 {
+				filt.flags[idx] |= flagTombstone
+			}
+		}
 		var v0, v1 uint64
 		if len(tape) > 0 {
 			v0, v1 = attr(tape[0]), attr(tape[len(tape)-1])
@@ -133,9 +143,9 @@ func FuzzSIMDEquivalence(f *testing.F) {
 	})
 }
 
-// checkBatchAgainstPoint compares every batch form against the point
-// probes over probe: QueryBatchInto and a scatter QueryBatchIdx against
-// Query for each predicate, and ContainsBatchInto against QueryKey.
+// checkBatchAgainstPoint compares both batch forms against the point
+// probe over probe: QueryBatchInto and a scatter QueryBatchIdx against
+// Query for each predicate.
 func checkBatchAgainstPoint(t *testing.T, filt *Filter, probe []uint64, preds []Predicate) {
 	t.Helper()
 	p := filt.p
@@ -163,11 +173,20 @@ func checkBatchAgainstPoint(t *testing.T, filt *Filter, probe []uint64, preds []
 			}
 		}
 	}
-	gotC := filt.ContainsBatchInto(nil, probe)
+}
+
+// checkKeyOnlyAgainstQueryKey compares the key-only batch probe, a nil
+// predicate through QueryBatchInto, against QueryKey over probe. It
+// holds on a table without tombstones, since QueryKey counts a
+// tombstoned copy of the key and a predicate probe does not.
+func checkKeyOnlyAgainstQueryKey(t *testing.T, filt *Filter, probe []uint64) {
+	t.Helper()
+	p := filt.p
+	got := filt.QueryBatchInto(nil, probe, nil)
 	for i, k := range probe {
-		if want := filt.QueryKey(k); gotC[i] != want {
-			t.Fatalf("%s b=%d kb=%d: ContainsBatch(key[%d] %#x) = %v, QueryKey = %v",
-				p.Variant, p.BucketSize, p.KeyBits, i, k, gotC[i], want)
+		if want := filt.QueryKey(k); got[i] != want {
+			t.Fatalf("%s b=%d kb=%d: key-only QueryBatch(key[%d] %#x) = %v, QueryKey = %v",
+				p.Variant, p.BucketSize, p.KeyBits, i, k, got[i], want)
 		}
 	}
 }

@@ -50,13 +50,12 @@ type Phase uint8
 // trace ID with the request that triggered them).
 const (
 	PhaseRequest    Phase = iota // whole HTTP request, root span
-	PhaseDecode                  // JSON request decode
+	PhaseDecode                  // request decode, JSON or binary frame
 	PhaseShardProbe              // one shard group's batched probe
-	PhaseViewProbe               // snapshot-view probe (gen-pinned reads)
 	PhaseApply                   // in-memory insert apply
 	PhaseWALAppend               // WAL record encode + buffered write
 	PhaseFsyncWait               // group-commit fsync wait
-	PhaseEncode                  // JSON response encode + write
+	PhaseEncode                  // response encode, JSON or binary frame
 	PhaseGrow                    // online shard growth
 	PhaseFold                    // background ladder fold
 	PhaseCheckpoint              // background checkpoint
@@ -66,7 +65,7 @@ const (
 )
 
 var phaseNames = [numPhases]string{
-	"request", "decode", "shard_probe", "view_probe", "apply",
+	"request", "decode", "shard_probe", "apply",
 	"wal_append", "fsync_wait", "encode", "grow", "fold",
 	"checkpoint", "recovery", "queue",
 }

@@ -221,7 +221,6 @@ func TestCallSiteAttrsSurvive(t *testing.T) {
 		{"server.insertFrame/encode", PhaseEncode, []AttrKey{AttrRows, AttrBytes}, false},
 		{"server.buildMux/insert-decode", PhaseDecode, []AttrKey{AttrRows}, false},
 		{"server.buildMux/query-decode", PhaseDecode, []AttrKey{AttrKeys}, false},
-		{"server.Server.query/view", PhaseViewProbe, []AttrKey{AttrKeys}, false},
 		{"server.Entry.InsertBatch", PhaseApply, []AttrKey{AttrRows}, false},
 		{"server.Entry.maybeAutoGrow", PhaseGrow, []AttrKey{AttrShard, AttrLevels}, false},
 		{"store.InsertBatchTraced/wal", PhaseWALAppend, []AttrKey{AttrRows, AttrSeq}, false},

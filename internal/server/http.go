@@ -99,33 +99,41 @@ type CondJSON struct {
 	Values []uint64 `json:"values"`
 }
 
-// QueryRequest is the body of POST /filters/{name}/query. With ViaView
-// the batch is answered from the (cached) predicate key-view instead of
-// probing attribute sketches per key — the right choice for pushdown
-// predicates that repeat across many batches.
+// QueryRequest is the body of POST /filters/{name}/query: one result
+// per key under the predicate, answered through the filter's compiled
+// batch probe.
 type QueryRequest struct {
 	Keys      []uint64   `json:"keys"`
 	Predicate []CondJSON `json:"predicate,omitempty"`
-	ViaView   bool       `json:"via_view,omitempty"`
+	// Deprecated: via_view is accepted and ignored; a query answers the
+	// same with or without it.
+	ViaView bool `json:"via_view,omitempty"`
 }
 
-// QueryResponse carries one result per key; ViewCacheHit is set only for
-// via-view queries.
+// QueryResponse carries one result per key.
 type QueryResponse struct {
-	Results      []bool `json:"results"`
-	ViewCacheHit *bool  `json:"view_cache_hit,omitempty"`
+	Results []bool `json:"results"`
 }
 
 // FilterStats is one filter's entry in GET /stats: the sharded
 // occupancy (including per-shard ladder detail — levels, grows,
 // per-level occupancy and free-slot estimates), the elastic-capacity
-// policy and fold counter, and the view-cache counters.
+// policy and the fold counter.
 type FilterStats struct {
 	shard.Stats
 	Folds     uint64           `json:"folds"`
 	AutoGrow  *AutoGrowPolicy  `json:"auto_grow,omitempty"`
 	RateLimit *RateLimitPolicy `json:"rate_limit,omitempty"`
-	ViewCache CacheStats       `json:"view_cache"`
+	// Deprecated: ccfd keeps no predicate-view cache, so every count
+	// reads 0; the block stays so existing /stats readers still decode.
+	ViewCache struct {
+		Capacity      int    `json:"capacity"`
+		Entries       int    `json:"entries"`
+		Hits          uint64 `json:"hits"`
+		Misses        uint64 `json:"misses"`
+		Invalidations uint64 `json:"invalidations"`
+		Evictions     uint64 `json:"evictions"`
+	} `json:"view_cache"`
 }
 
 // filterStats assembles one entry's stats response.
@@ -135,7 +143,6 @@ func filterStats(e *Entry) FilterStats {
 		Folds:     e.Folds(),
 		AutoGrow:  e.Policy(),
 		RateLimit: e.RateLimit(),
-		ViewCache: e.CacheStats(),
 	}
 }
 
@@ -176,7 +183,7 @@ func toPredicate(conds []CondJSON) core.Predicate {
 //	PUT    /filters/{name}           create or replace a filter
 //	DELETE /filters/{name}           drop a filter
 //	POST   /filters/{name}/insert    batched inserts
-//	POST   /filters/{name}/query     batched queries (optionally via view)
+//	POST   /filters/{name}/query     batched queries
 //	GET    /filters/{name}/stats     one filter's stats (read under each
 //	                                 shard's read lock in turn)
 //	GET    /filters/{name}/snapshot  whole-set binary snapshot
@@ -317,15 +324,12 @@ func (s *Server) buildMux() http.Handler {
 		}
 		sc := getScratch()
 		defer putScratch(sc)
-		results, hit, f := s.query(s.reqCtx(r), e, req.Keys, toPredicate(req.Predicate), req.ViaView, sc, tr)
+		results, f := s.query(s.reqCtx(r), e, req.Keys, toPredicate(req.Predicate), sc, tr)
 		if f.failed() {
 			writeFailure(w, r, f)
 			return
 		}
 		resp := QueryResponse{Results: results}
-		if req.ViaView {
-			resp.ViewCacheHit = &hit
-		}
 		if resp.Results == nil {
 			resp.Results = []bool{}
 		}

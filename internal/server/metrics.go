@@ -41,17 +41,15 @@ func (h *Health) serving() bool { return h == nil || h.ready.Load() }
 
 // serverMetrics holds the HTTP layer's instrumentation handles, all
 // preallocated at handler construction: per-endpoint request counters by
-// status class, latency and batch-size histograms, row-status counters,
-// and view-cache hit/miss counters. When HandlerOptions carries no
-// registry the handles still exist (built against a throwaway registry),
-// so the handlers never nil-check.
+// status class, latency and batch-size histograms, and row-status
+// counters. When HandlerOptions carries no registry the handles still
+// exist (built against a throwaway registry), so the handlers never
+// nil-check.
 type serverMetrics struct {
 	reg        *obs.Registry
 	rowStatus  [5]*obs.Counter // indexed by shard.RowStatus
 	insertRows *obs.Histogram
 	queryKeys  *obs.Histogram
-	viewHits   *obs.Counter
-	viewMisses *obs.Counter
 	slow       *obs.Counter
 	// Admission-control outcomes: sheds by reason (queue_full,
 	// queue_timeout, canceled), per-filter rate-limit rejections (429),
@@ -86,10 +84,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		"Rows per insert batch.", 1, obs.ExpBounds(1, 4, 9))
 	m.queryKeys = reg.Histogram("ccfd_query_batch_keys",
 		"Keys per query batch.", 1, obs.ExpBounds(1, 4, 9))
-	m.viewHits = reg.Counter("ccfd_view_cache_hits_total",
-		"Predicate-view cache hits on via-view queries.")
-	m.viewMisses = reg.Counter("ccfd_view_cache_misses_total",
-		"Predicate-view cache misses (view re-extracted).")
 	m.slow = reg.Counter("ccfd_http_slow_requests_total",
 		"Requests slower than the -slow-query threshold.")
 	m.shed = make(map[string]*obs.Counter, 3)

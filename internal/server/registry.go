@@ -1,8 +1,9 @@
 // Package server turns the sharded conditional cuckoo filter into a
 // serving subsystem: a registry of named filters (one per join-graph
-// table in the paper's pushdown deployment, §3), an LRU cache of
-// predicate key-views so repeated pushdown predicates skip Algorithm-2
-// re-extraction, and an HTTP/JSON API over both (see NewHandler).
+// table in the paper's pushdown deployment, §3) and one request core
+// that answers "key given predicate" through each filter's compiled
+// batch probe (Algorithm 5), behind an HTTP/JSON API and the binary wire
+// protocol (see NewHandler and NewServer).
 package server
 
 import (
@@ -19,8 +20,10 @@ import (
 	"ccf/internal/store"
 )
 
-// DefaultViewCacheCap is the per-filter predicate-view cache capacity
-// when NewRegistry is given zero.
+// DefaultViewCacheCap is kept so existing callers of NewRegistry compile.
+//
+// Deprecated: ccfd keeps no predicate-view cache, and NewRegistry ignores
+// its argument.
 const DefaultViewCacheCap = 64
 
 // AutoGrowPolicy is the per-filter elastic-capacity policy: how far a
@@ -73,13 +76,12 @@ func (p AutoGrowPolicy) ladderOptions() core.LadderOptions {
 	return core.LadderOptions{MaxLevels: p.MaxLevels, GrowthFactor: p.GrowthFactor}
 }
 
-// Registry maps filter names to sharded instances, each paired with its
-// predicate-view cache. All methods are safe for concurrent use.
+// Registry maps filter names to sharded instances. All methods are safe
+// for concurrent use.
 type Registry struct {
-	mu       sync.RWMutex
-	entries  map[string]*Entry
-	cacheCap int
-	st       *store.Store // nil = in-memory only
+	mu      sync.RWMutex
+	entries map[string]*Entry
+	st      *store.Store // nil = in-memory only
 	// defaultPolicy, when non-nil, applies to filters created without an
 	// explicit AutoGrowPolicy and to filters recovered from the store.
 	defaultPolicy *AutoGrowPolicy
@@ -101,12 +103,11 @@ type StoreFailure struct{ Err error }
 func (e *StoreFailure) Error() string { return "server: durable store: " + e.Err.Error() }
 func (e *StoreFailure) Unwrap() error { return e.Err }
 
-// Entry is a registered filter plus its view cache and, when the
-// registry has a store attached, its durable log handle.
+// Entry is a registered filter plus, when the registry has a store
+// attached, its durable log handle.
 type Entry struct {
 	name   string
 	sf     *shard.ShardedFilter
-	cache  *viewCache
 	log    *store.Filter   // nil = not durable
 	policy *AutoGrowPolicy // nil = elastic capacity off
 
@@ -124,13 +125,11 @@ type Entry struct {
 	growBuf []shard.GrowthStat
 }
 
-// NewRegistry returns an empty registry whose per-filter view caches hold
-// up to cacheCap predicates (0 means DefaultViewCacheCap).
-func NewRegistry(cacheCap int) *Registry {
-	if cacheCap == 0 {
-		cacheCap = DefaultViewCacheCap
-	}
-	return &Registry{entries: make(map[string]*Entry), cacheCap: cacheCap}
+// NewRegistry returns an empty registry. Its argument is ignored: it
+// sized a per-filter predicate-view cache ccfd no longer keeps, and
+// stays so existing callers compile.
+func NewRegistry(int) *Registry {
+	return &Registry{entries: make(map[string]*Entry)}
 }
 
 // SetDefaultPolicy installs the auto-grow policy applied to filters
@@ -185,7 +184,7 @@ func (r *Registry) AttachStore(st *store.Store) {
 	defPolicy := r.defaultPolicy
 	r.mu.Unlock()
 	for name, fl := range st.Filters() {
-		e := &Entry{name: name, sf: fl.Live(), cache: newViewCache(r.cacheCap), log: fl}
+		e := &Entry{name: name, sf: fl.Live(), log: fl}
 		if opts := e.sf.AutoGrow(); opts.MaxLevels > 1 {
 			p := AutoGrowPolicy{MaxLevels: opts.MaxLevels, GrowthFactor: opts.GrowthFactor}.normalized()
 			e.policy = &p
@@ -233,7 +232,7 @@ func (r *Registry) Create(name string, opts shard.Options, policy *AutoGrowPolic
 			return nil, &StoreFailure{err}
 		}
 	}
-	e := &Entry{name: name, sf: sf, cache: newViewCache(r.cacheCap), log: log, policy: policy}
+	e := &Entry{name: name, sf: sf, log: log, policy: policy}
 	r.put(e)
 	return e, nil
 }
@@ -284,7 +283,7 @@ func (r *Registry) Restore(name string, data []byte) (*Entry, error) {
 		// install the new entry — keeping the old one would send durable
 		// inserts to the new filter while queries read the old.
 	}
-	e := &Entry{name: name, sf: sf, cache: newViewCache(r.cacheCap), log: log, policy: policy}
+	e := &Entry{name: name, sf: sf, log: log, policy: policy}
 	r.put(e)
 	if err != nil {
 		return e, &StoreFailure{err}
@@ -292,11 +291,11 @@ func (r *Registry) Restore(name string, data []byte) (*Entry, error) {
 	return e, nil
 }
 
-// Set registers an existing sharded filter under name with a fresh view
-// cache, replacing any previous entry. The entry is not durable — use
-// Create or Restore when a store is attached.
+// Set registers an existing sharded filter under name, replacing any
+// previous entry. The entry is not durable — use Create or Restore when
+// a store is attached.
 func (r *Registry) Set(name string, sf *shard.ShardedFilter) *Entry {
-	e := &Entry{name: name, sf: sf, cache: newViewCache(r.cacheCap)}
+	e := &Entry{name: name, sf: sf}
 	r.put(e)
 	return e
 }
@@ -508,26 +507,4 @@ func (e *Entry) Folds() uint64 {
 		return 0
 	}
 	return e.log.FoldCount()
-}
-
-// CacheStats returns the entry's view-cache counters.
-func (e *Entry) CacheStats() CacheStats { return e.cache.stats() }
-
-// PredicateView returns a key-only view for pred, serving it from the
-// cache when one was extracted at the filter's current version. The
-// second result reports a cache hit. The version is read before
-// extraction, so a write that races with a rebuild leaves a view stamped
-// too old — it re-extracts next time rather than serving stale rows.
-func (e *Entry) PredicateView(pred core.Predicate) (*shard.KeyView, bool, error) {
-	key := CanonicalPredicate(pred)
-	version := e.sf.Version()
-	if v, ok := e.cache.get(key, version); ok {
-		return v, true, nil
-	}
-	v, err := e.sf.PredicateFilter(pred)
-	if err != nil {
-		return nil, false, err
-	}
-	e.cache.put(key, version, v)
-	return v, false, nil
 }

@@ -134,42 +134,25 @@ func (s *Server) storeFailure(err error) failure {
 	}
 }
 
-// query answers keys under pred against e: from the cached predicate
-// key-view when viaView is set (the second result reports a cache hit),
-// through the shard layer's batch probe otherwise. Results alias
-// sc.results. ctx carries the request deadline; nil keeps the probe on
-// its context-free fast path.
+// query answers keys under pred against e through the shard layer's
+// batch probe. Results alias sc.results. ctx carries the request
+// deadline; nil keeps the probe on its context-free fast path.
 func (s *Server) query(ctx context.Context, e *Entry, keys []uint64, pred core.Predicate,
-	viaView bool, sc *reqScratch, tr *trace.Req) ([]bool, bool, failure) {
+	sc *reqScratch, tr *trace.Req) ([]bool, failure) {
 	if err := pred.Validate(e.Filter().Params().NumAttrs); err != nil {
-		return nil, false, badRequest(err)
+		return nil, badRequest(err)
 	}
 	if f := s.admit(e, len(keys)); f.failed() {
-		return nil, false, f
+		return nil, f
 	}
 	s.sm.queryKeys.Observe(int64(len(keys)))
-	if viaView {
-		view, hit, err := e.PredicateView(pred)
-		if err != nil {
-			return nil, false, badRequest(err)
-		}
-		if hit {
-			s.sm.viewHits.Inc()
-		} else {
-			s.sm.viewMisses.Inc()
-		}
-		vsp := tr.Start(trace.PhaseViewProbe)
-		sc.results = view.ContainsBatchInto(sc.results[:0], keys)
-		vsp.Attr(trace.AttrKeys, int64(len(keys))).End()
-		return sc.results, hit, failure{}
-	}
 	var err error
 	sc.results, err = e.Filter().QueryBatchContext(ctx, sc.results[:0], keys, pred, tr)
 	if err != nil {
 		s.sm.deadline.Inc()
-		return nil, false, deadlineFailure(err)
+		return nil, deadlineFailure(err)
 	}
-	return sc.results, false, failure{}
+	return sc.results, failure{}
 }
 
 // insert applies rows to e, WAL-first when the entry is durable. It

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"ccf/internal/core"
 	"ccf/internal/shard"
 	"ccf/internal/store"
+	"ccf/internal/wire"
 )
 
 func testRegistry(t *testing.T) (*Registry, *Entry) {
@@ -46,70 +48,80 @@ func insertRows(t *testing.T, e *Entry, n int) ([]uint64, [][]uint64) {
 	return keys, attrs
 }
 
-// TestPredicateViewCacheHitAndInvalidation is the acceptance test for the
-// pushdown cache: a repeated predicate is served from cache (including
-// under a reordered-but-equivalent spelling), and a write invalidates it.
-func TestPredicateViewCacheHitAndInvalidation(t *testing.T) {
-	_, e := testRegistry(t)
+// TestViaViewHintIgnored is the contract for old clients' via_view hint:
+// the same predicate query, sent with and without it over JSON/HTTP,
+// binary/HTTP and binary/TCP, answers bit for bit what the filter's
+// batch probe answers. The JSON response carries no view_cache_hit key,
+// every result frame has flags 0, and /stats's view_cache block reads 0.
+// The probe holds runs of 1 to 4 equal keys, alternately present and
+// absent.
+func TestViaViewHintIgnored(t *testing.T) {
+	reg, e := testRegistry(t)
 	keys, _ := insertRows(t, e, 2000)
+	ts, addr := bothDoors(t, NewServer(reg, HandlerOptions{}))
 
-	pred := core.And(core.Eq(0, 1), core.Eq(1, 2))
-	if _, hit, err := e.PredicateView(pred); err != nil || hit {
-		t.Fatalf("first extraction: hit=%v err=%v, want miss", hit, err)
-	}
-	view, hit, err := e.PredicateView(pred)
-	if err != nil || !hit {
-		t.Fatalf("repeat extraction: hit=%v err=%v, want hit", hit, err)
-	}
-	// An equivalent spelling of the predicate must hit the same entry.
-	if _, hit, _ = e.PredicateView(core.And(core.Eq(1, 2), core.Eq(0, 1))); !hit {
-		t.Fatal("reordered predicate missed the cache")
-	}
-	// The view answers like the filter.
-	for _, k := range keys[:100] {
-		if e.Filter().Query(k, pred) && !view.Contains(k) {
-			t.Fatalf("view dropped key %d", k)
+	var probe []uint64
+	for i := 0; i < 300; i++ {
+		k := keys[i/2*7%len(keys)]
+		if i%2 == 1 {
+			k = uint64(i)<<40 | 1 // never inserted
+		}
+		for j := 0; j <= i%4; j++ {
+			probe = append(probe, k)
 		}
 	}
-	st := e.CacheStats()
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Fatalf("cache stats = %+v, want 2 hits / 1 miss", st)
+	pred := core.And(core.Eq(0, 1), core.In(1, 2, 3))
+	want := e.Filter().QueryBatch(probe, pred)
+	if !slices.Contains(want, true) || !slices.Contains(want, false) {
+		t.Fatal("the probe's answers are all alike; pick another predicate")
 	}
+	jpred := []CondJSON{{Attr: 0, Values: []uint64{1}}, {Attr: 1, Values: []uint64{2, 3}}}
+	wpred := []wire.Cond{{Attr: 0, Values: []uint64{1}}, {Attr: 1, Values: []uint64{2, 3}}}
 
-	// A write bumps the version: the next lookup must re-extract.
-	if err := e.Filter().Insert(1e9, []uint64{1, 2}); err != nil {
-		t.Fatalf("Insert: %v", err)
-	}
-	view2, hit, err := e.PredicateView(pred)
-	if err != nil || hit {
-		t.Fatalf("post-write extraction: hit=%v err=%v, want miss", hit, err)
-	}
-	if !view2.Contains(1e9) {
-		t.Fatal("re-extracted view is missing the new row")
-	}
-	if st := e.CacheStats(); st.Invalidations != 1 {
-		t.Fatalf("invalidations = %d, want 1", st.Invalidations)
-	}
-	// And the refreshed view is cached again.
-	if _, hit, _ := e.PredicateView(pred); !hit {
-		t.Fatal("refreshed view not re-cached")
-	}
-}
-
-func TestViewCacheEvictsByPredicate(t *testing.T) {
-	_, e := testRegistry(t) // cache capacity 4
-	insertRows(t, e, 500)
-	for i := 0; i < 6; i++ {
-		if _, hit, err := e.PredicateView(core.And(core.Eq(0, uint64(i)))); err != nil || hit {
-			t.Fatalf("pred %d: hit=%v err=%v", i, hit, err)
+	checkFrame := func(leg string, op wire.Op, payload []byte) {
+		t.Helper()
+		if op != wire.OpResult {
+			t.Fatalf("%s: answered opcode %v", leg, op)
+		}
+		if payload[0] != 0 {
+			t.Fatalf("%s: result flags %#x, want 0", leg, payload[0])
+		}
+		res, err := wire.DecodeResult(payload)
+		if err != nil {
+			t.Fatalf("%s: DecodeResult: %v", leg, err)
+		}
+		if got := res.Expand(nil); !slices.Equal(got, want) {
+			t.Fatalf("%s: results differ from the batch probe's", leg)
 		}
 	}
-	// Predicates 0 and 1 were evicted by 4 and 5; 5 is still resident.
-	if _, hit, _ := e.PredicateView(core.And(core.Eq(0, 5))); !hit {
-		t.Fatal("most recent predicate evicted")
+	for _, viaView := range []bool{false, true} {
+		resp := rawJSON(t, ts, "POST", "/filters/movies/query",
+			QueryRequest{Keys: probe, Predicate: jpred, ViaView: viaView})
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(body, &fields); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("json via_view=%v: %d %s", viaView, resp.StatusCode, body)
+		}
+		if _, ok := fields["view_cache_hit"]; ok {
+			t.Fatalf("json via_view=%v: response carries view_cache_hit: %s", viaView, body)
+		}
+		var got []bool
+		if err := json.Unmarshal(fields["results"], &got); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("json via_view=%v: results differ from the batch probe's (%v)", viaView, err)
+		}
+
+		frame := wire.AppendQuery(nil, "movies", wpred, probe, viaView)
+		op, payload := readFrame(t, postFrame(t, ts, "/filters/movies/query", frame))
+		checkFrame(fmt.Sprintf("binary/http via_view=%v", viaView), op, payload)
+		op, payload = tcpRoundTrip(t, addr, frame)
+		checkFrame(fmt.Sprintf("binary/tcp via_view=%v", viaView), op, payload)
 	}
-	if _, hit, _ := e.PredicateView(core.And(core.Eq(0, 0))); hit {
-		t.Fatal("oldest predicate survived a full cache")
+
+	var st StatsResponse
+	doJSON(t, ts, "GET", "/stats", nil, &st)
+	if vc := st.Filters["movies"].ViewCache; vc != (FilterStats{}).ViewCache {
+		t.Fatalf("view_cache = %+v, want every count 0", vc)
 	}
 }
 
@@ -180,31 +192,13 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if len(q.Results) != 5 || !q.Results[0] || !q.Results[1] {
 		t.Fatalf("query results = %v", q.Results)
 	}
-	if q.ViewCacheHit != nil {
-		t.Fatal("direct query reported a view-cache state")
-	}
-
-	// Via-view queries: first a miss, then a hit; /stats agrees.
-	for i, wantHit := range []bool{false, true, true} {
-		doJSON(t, ts, "POST", "/filters/titles/query", QueryRequest{
-			Keys:      []uint64{10, 30},
-			Predicate: []CondJSON{{Attr: 1, Values: []uint64{2}}},
-			ViaView:   true,
-		}, &q)
-		if q.ViewCacheHit == nil || *q.ViewCacheHit != wantHit {
-			t.Fatalf("via-view query %d: cache hit = %v, want %v", i, q.ViewCacheHit, wantHit)
-		}
-		if !q.Results[0] || !q.Results[1] {
-			t.Fatalf("via-view query %d: results = %v", i, q.Results)
-		}
-	}
 	var st StatsResponse
 	doJSON(t, ts, "GET", "/stats", nil, &st)
 	fs, ok := st.Filters["titles"]
 	if !ok {
 		t.Fatalf("stats missing filter: %+v", st)
 	}
-	if fs.Rows != 4 || fs.Shards != 4 || fs.ViewCache.Hits != 2 || fs.ViewCache.Misses != 1 {
+	if fs.Rows != 4 || fs.Shards != 4 {
 		t.Fatalf("stats = %+v", fs)
 	}
 
@@ -245,8 +239,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 }
 
 // TestHTTPPerFilterStats covers GET /filters/{name}/stats: a single
-// filter's occupancy and view-cache counters without scraping the whole
-// registry.
+// filter's occupancy without scraping the whole registry.
 func TestHTTPPerFilterStats(t *testing.T) {
 	reg, e := testRegistry(t)
 	insertRows(t, e, 1000)
@@ -328,7 +321,8 @@ func TestHTTPBadRequests(t *testing.T) {
 }
 
 // TestHTTPConcurrent exercises the full HTTP stack under -race:
-// concurrent batched inserts, direct queries, via-view queries and stats.
+// concurrent batched inserts, queries with and without the ignored
+// via_view hint, and stats.
 func TestHTTPConcurrent(t *testing.T) {
 	reg := NewRegistry(8)
 	ts := httptest.NewServer(NewHandler(reg))

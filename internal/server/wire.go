@@ -80,19 +80,10 @@ func (s *Server) lookupFrame(urlName string, name []byte) (*Entry, failure) {
 }
 
 // framePred converts a decoded frame predicate into sc's recycled
-// core.Predicate. Via-view requests get an owned copy instead: the view
-// cache canonicalizes and may outlive this request, so it must not see
-// values aliasing frame scratch.
-func (sc *reqScratch) framePred(conds []wire.Cond, owned bool) core.Predicate {
+// core.Predicate, its values aliasing the frame scratch.
+func (sc *reqScratch) framePred(conds []wire.Cond) core.Predicate {
 	if len(conds) == 0 {
 		return nil
-	}
-	if owned {
-		pred := make(core.Predicate, len(conds))
-		for i, c := range conds {
-			pred[i] = core.Cond{Attr: c.Attr, Values: append([]uint64(nil), c.Values...)}
-		}
-		return pred
 	}
 	sc.pred = sc.pred[:0]
 	for _, c := range conds {
@@ -114,12 +105,14 @@ func (s *Server) queryFrame(ctx context.Context, payload []byte, sc *reqScratch,
 	if f.failed() {
 		return f
 	}
-	results, hit, f := s.query(ctx, e, q.Keys, sc.framePred(q.Pred, q.ViaView), q.ViaView, sc, tr)
+	// The frame's via_view flag is decoded and ignored: every query runs
+	// the compiled batch probe, and results go out with flags 0.
+	results, f := s.query(ctx, e, q.Keys, sc.framePred(q.Pred), sc, tr)
 	if f.failed() {
 		return f
 	}
 	esp := tr.Start(trace.PhaseEncode)
-	sc.out = wire.AppendResult(sc.out, results, q.ViaView, hit)
+	sc.out = wire.AppendResult(sc.out, results, false, false)
 	esp.Attr(trace.AttrKeys, int64(len(results))).Attr(trace.AttrBytes, int64(len(sc.out))).End()
 	return failure{}
 }

@@ -470,7 +470,7 @@ func wireAllocServer(t *testing.T, tracer *trace.Tracer) (*Server, *Entry, *reqS
 		flat = append(flat, uint64(i%4), uint64(i%6))
 	}
 	iframe := wire.AppendInsert(nil, "movies", keys, flat, 2)
-	return s, e, new(reqScratch), allocQueryFrame(64), iframe
+	return s, e, new(reqScratch), allocQueryFrame(64, false), iframe
 }
 
 // presentKeys returns the first n keys insertRows inserts.
@@ -483,9 +483,9 @@ func presentKeys(n int) []uint64 {
 }
 
 // allocQueryFrame is a query frame probing n present keys under a
-// one-condition predicate.
-func allocQueryFrame(n int) []byte {
-	return wire.AppendQuery(nil, "movies", []wire.Cond{{Attr: 0, Values: []uint64{1, 2}}}, presentKeys(n), false)
+// one-condition predicate, with the via_view hint set as given.
+func allocQueryFrame(n int, viaView bool) []byte {
+	return wire.AppendQuery(nil, "movies", []wire.Cond{{Attr: 0, Values: []uint64{1, 2}}}, presentKeys(n), viaView)
 }
 
 // runsQueryFrame is allocQueryFrame with its n keys in runs of 1 to 4
@@ -523,7 +523,8 @@ func roundTrip(t *testing.T, s *Server, ws *reqScratch, frame []byte, tr *trace.
 // decode→request core→encode round trip runs at 0 allocs/op
 // steady-state, with tracing sampled off and sampled on. query1024 is
 // the batch size of the pushdown workload on the 4-shard filter built
-// with default options.
+// with default options; query1024viaview sets the ignored via_view hint,
+// which takes the same path.
 func TestWireZeroAllocRoundTrip(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -539,7 +540,12 @@ func TestWireZeroAllocRoundTrip(t *testing.T) {
 		for _, q := range []struct {
 			name  string
 			frame []byte
-		}{{"query", allocQueryFrame(64)}, {"query1024", allocQueryFrame(1024)}, {"query1024runs", runsQueryFrame(1024)}} {
+		}{
+			{"query", allocQueryFrame(64, false)},
+			{"query1024", allocQueryFrame(1024, false)},
+			{"query1024runs", runsQueryFrame(1024)},
+			{"query1024viaview", allocQueryFrame(1024, true)},
+		} {
 			t.Run(tc.name+"/"+q.name, func(t *testing.T) {
 				s, _, ws, _, _ := wireAllocServer(t, tc.tracer)
 				run := func() {

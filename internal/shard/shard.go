@@ -12,16 +12,17 @@
 //
 // The batch entry points (InsertBatch, QueryBatch) group a request by shard
 // first and enter each shard once per batch, not once per key, probing
-// through core's batched two-phase pipeline (hash + overlapped bucket
-// loads, then SWAR compares). A batch query runs its shard groups in
-// order on the calling goroutine: its parallelism is the overlapped
-// memory misses inside each group, and a server gets more by serving
-// connections concurrently. Only batch inserts of 512 rows or more spread
-// their groups over up to Options.Workers goroutines. This is the
-// deployment shape the paper targets (§3): filters built once, shipped to
-// query processors, and probed at high rate during predicate pushdown,
-// where per-key call overhead and serialized cache misses dominate
-// unbatched designs.
+// through core's tile pipeline: fold runs of equal keys, hash each run,
+// read both buckets' per-slot hit masks with simd.MaskSlots, settle, and
+// scatter each run's answer to its positions. A batch query runs its
+// shard groups in order on the calling goroutine: its parallelism is the
+// overlapped memory misses inside each group, and a server gets more by
+// serving connections concurrently. Only batch inserts of 512 rows or
+// more spread their groups over up to Options.Workers goroutines. This is
+// the deployment shape the paper targets (§3): filters built once,
+// shipped to query processors, and probed at high rate during predicate
+// pushdown, where per-key call overhead and serialized cache misses
+// dominate unbatched designs.
 package shard
 
 import (
@@ -95,7 +96,6 @@ type ShardedFilter struct {
 	cells   []cell
 	seed    atomic.Uint64 // routing salt base; atomic because Restore may swap it
 	workers int
-	version atomic.Uint64 // bumped by every successful mutation; see Version
 	// gen counts completed Restores; it is bumped while every shard lock
 	// is held. Operations capture it before routing and re-check it under
 	// the shard lock: a mismatch means a Restore swapped the contents
@@ -154,15 +154,10 @@ func (s *ShardedFilter) Params() core.Params {
 	return p
 }
 
-// Version returns a counter bumped by every successful mutation (Insert,
-// Delete, InsertBatch, Restore). Caches layered above the filter compare
-// versions to detect staleness; see internal/server.
-func (s *ShardedFilter) Version() uint64 { return s.version.Load() }
-
 // router is an immutable snapshot of the key→shard routing function,
-// hashing.Key64(key, seed^saltShard) % n. Operations (and extracted
-// key-views) capture one up front so routing stays self-consistent even
-// if Restore swaps the seed mid-flight.
+// hashing.Key64(key, seed^saltShard) % n. Operations (and frozen sets)
+// capture one up front so routing stays self-consistent even if Restore
+// swaps the seed mid-flight.
 type router struct {
 	salt uint64 // hashing.Salt(seed ^ saltShard), hoisted out of every key's hash
 	n    int
@@ -296,9 +291,6 @@ func (s *ShardedFilter) withShard(key uint64, mutate bool, fn func(f *core.Ladde
 func (s *ShardedFilter) Insert(key uint64, attrs []uint64) error {
 	var err error
 	s.withShard(key, true, func(f *core.Ladder) { err = f.Insert(key, attrs) })
-	if err == nil {
-		s.version.Add(1)
-	}
 	return err
 }
 
@@ -306,9 +298,6 @@ func (s *ShardedFilter) Insert(key uint64, attrs []uint64) error {
 func (s *ShardedFilter) Delete(key uint64, attrs []uint64) error {
 	var err error
 	s.withShard(key, true, func(f *core.Ladder) { err = f.Delete(key, attrs) })
-	if err == nil {
-		s.version.Add(1)
-	}
 	return err
 }
 
@@ -325,7 +314,6 @@ func (s *ShardedFilter) GrowShard(sh int) error {
 	err := c.f.Grow()
 	c.mu.Unlock()
 	if err == nil {
-		s.version.Add(1)
 		s.metrics.Grows.Inc()
 	}
 	return err
@@ -459,21 +447,14 @@ func (s *ShardedFilter) InsertBatchInto(dst []error, keys []uint64, attrs [][]ui
 			var stale atomic.Bool
 			s.insertShardGroup(0, nil, keys, attrs, errs, gen, &stale)
 			if !stale.Load() {
-				break
+				return errs
 			}
 			continue
 		}
 		if s.insertGrouped(rt, keys, attrs, errs, gen) {
-			break
+			return errs
 		}
 	}
-	for _, err := range errs {
-		if err == nil {
-			s.version.Add(1)
-			break
-		}
-	}
-	return errs
 }
 
 // insertGrouped applies a multi-shard batch insert under one grouping
@@ -683,33 +664,6 @@ func markTrue(out []bool, idxs []int32) {
 	}
 }
 
-// PredicateFilter extracts a key-only view per shard (Algorithm 2) and
-// returns them bundled behind the routing captured at extraction time,
-// so a later Restore (which may change the routing seed) cannot make an
-// existing view mis-route keys. All shard read locks are held for the
-// duration; they exclude writers and Restore, making the view a
-// consistent cut of the whole filter.
-func (s *ShardedFilter) PredicateFilter(pred core.Predicate) (*KeyView, error) {
-	for i := range s.cells {
-		s.cells[i].mu.RLock()
-	}
-	defer func() {
-		for i := range s.cells {
-			s.cells[i].mu.RUnlock()
-		}
-	}()
-	rt := s.router() // stable while the read locks exclude Restore
-	views := make([]*core.LadderKeyView, len(s.cells))
-	for i := range s.cells {
-		v, err := s.cells[i].f.PredicateFilter(pred)
-		if err != nil {
-			return nil, err
-		}
-		views[i] = v
-	}
-	return &KeyView{rt: rt, views: views}, nil
-}
-
 // Freeze snapshots every shard into its immutable bit-packed form
 // (vector variants only), taken as a consistent cut under all shard read
 // locks and returned behind the routing captured at freeze time.
@@ -781,7 +735,6 @@ type Stats struct {
 	FreeSlots   int                `json:"free_slots"`
 	LoadFactor  float64            `json:"load_factor"`
 	SizeBits    int64              `json:"size_bits"`
-	Version     uint64             `json:"version"`
 	Grows       int                `json:"grows"`
 	MaxLevels   int                `json:"max_levels"`
 	ShardLoads  []float64          `json:"shard_loads"`
@@ -796,7 +749,7 @@ type Stats struct {
 func (s *ShardedFilter) Stats() Stats {
 	for {
 		gen := s.gen.Load()
-		st := Stats{Shards: len(s.cells), Version: s.Version()}
+		st := Stats{Shards: len(s.cells)}
 		st.ShardLoads = make([]float64, len(s.cells))
 		st.ShardDetail = make([]core.LadderStats, len(s.cells))
 		ok := true
@@ -972,7 +925,6 @@ func (s *ShardedFilter) Restore(data []byte) error {
 	for i := range s.cells {
 		s.cells[i].mu.Unlock()
 	}
-	s.version.Add(1)
 	return nil
 }
 

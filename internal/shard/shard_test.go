@@ -163,35 +163,6 @@ func TestNewRejectsTooManyShards(t *testing.T) {
 	}
 }
 
-func TestKeyViewMatchesDirectQueries(t *testing.T) {
-	s := newTest(t, 4, core.VariantChained)
-	keys, attrs := mkRows(2000)
-	s.InsertBatch(keys, attrs)
-	pred := core.And(core.Eq(0, 2))
-	view, err := s.PredicateFilter(pred)
-	if err != nil {
-		t.Fatalf("PredicateFilter: %v", err)
-	}
-	probe := append(append([]uint64(nil), keys...), 1e15, 1e15+1, 1e15+2)
-	got := view.ContainsBatch(probe)
-	for i, k := range probe {
-		direct := s.Query(k, pred)
-		if got[i] != view.Contains(k) {
-			t.Fatalf("key %d: ContainsBatch=%v Contains=%v", k, got[i], view.Contains(k))
-		}
-		// The view can only widen (extra FPs), never lose a positive.
-		if direct && !got[i] {
-			t.Fatalf("key %d: view dropped a direct positive", k)
-		}
-	}
-	if view.MatchingEntries() == 0 {
-		t.Fatal("view has no matching entries")
-	}
-	if view.SizeBits() <= 0 {
-		t.Fatal("view size not accounted")
-	}
-}
-
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	s := newTest(t, 4, core.VariantChained)
 	keys, attrs := mkRows(2000)
@@ -289,17 +260,14 @@ func TestSnapshotShardBound(t *testing.T) {
 	}
 }
 
-// TestKeyViewSurvivesRestore pins the routing contract: a view keeps
-// answering as of extraction time even after Restore swaps in filters
-// built with a different seed (and so a different shard routing).
+// TestKeyViewSurvivesRestore pins Restore's routing swap: restoring a
+// snapshot of a filter built with a different seed (and so a different
+// shard routing) takes that seed, and the filter then answers for the
+// restored contents.
 func TestKeyViewSurvivesRestore(t *testing.T) {
 	s := newTest(t, 4, core.VariantChained)
 	keys, attrs := mkRows(1500)
 	s.InsertBatch(keys, attrs)
-	view, err := s.PredicateFilter(nil)
-	if err != nil {
-		t.Fatalf("PredicateFilter: %v", err)
-	}
 
 	other, err := New(Options{
 		Shards: 4,
@@ -319,14 +287,7 @@ func TestKeyViewSurvivesRestore(t *testing.T) {
 	if got := s.Params().Seed; got != 99 {
 		t.Fatalf("restored seed = %d, want 99", got)
 	}
-	// The old view must still find every pre-restore key: its routing was
-	// captured at extraction, so the seed swap cannot cause misroutes.
-	for i, ok := range view.ContainsBatch(keys) {
-		if !ok {
-			t.Fatalf("view lost key %d after restore", keys[i])
-		}
-	}
-	// The filter itself now answers for the restored contents.
+	// The filter now answers for the restored contents.
 	if !s.QueryKey(1e15) {
 		t.Fatal("restored filter missing its key")
 	}
@@ -358,38 +319,6 @@ func TestFreezeShards(t *testing.T) {
 		if !frozen.QueryKey(k) {
 			t.Fatalf("frozen set QueryKey missed %d", k)
 		}
-	}
-}
-
-func TestVersionBumpsOnWrites(t *testing.T) {
-	s := newTest(t, 2, core.VariantChained)
-	v0 := s.Version()
-	s.Insert(1, []uint64{0, 0})
-	if s.Version() == v0 {
-		t.Fatal("Insert did not bump version")
-	}
-	v1 := s.Version()
-	s.InsertBatch([]uint64{2, 3}, [][]uint64{{0, 0}, {0, 0}})
-	if s.Version() == v1 {
-		t.Fatal("InsertBatch did not bump version")
-	}
-	v2 := s.Version()
-	s.QueryBatch([]uint64{1, 2, 3}, nil)
-	if s.Version() != v2 {
-		t.Fatal("QueryBatch bumped version")
-	}
-	// Failed mutations change nothing, so they must not invalidate
-	// cached views by bumping the version.
-	if err := s.Insert(9, []uint64{1, 2, 3}); !errors.Is(err, core.ErrAttrCount) {
-		t.Fatalf("Insert wrong arity: %v", err)
-	}
-	for _, err := range s.InsertBatch([]uint64{10, 11}, [][]uint64{{0}, {0}}) {
-		if !errors.Is(err, core.ErrAttrCount) {
-			t.Fatalf("InsertBatch wrong arity: %v", err)
-		}
-	}
-	if s.Version() != v2 {
-		t.Fatal("failed mutations bumped version")
 	}
 }
 
@@ -507,8 +436,8 @@ func TestInsertBatchAtomicVsSameSeedRestore(t *testing.T) {
 }
 
 // TestConcurrentBatchOps is the -race exercise required for the sharded
-// filter: concurrent batch inserts, batch queries, point ops, view
-// extraction and snapshots.
+// filter: concurrent batch inserts, batch queries, point ops, stats and
+// snapshots.
 func TestConcurrentBatchOps(t *testing.T) {
 	s, err := New(Options{
 		Shards:  8,
@@ -552,11 +481,6 @@ func TestConcurrentBatchOps(t *testing.T) {
 				s.QueryBatch(keys, pred)
 				s.Query(keys[it%len(keys)], nil)
 				s.QueryKey(keys[(it*7)%len(keys)])
-				if it%5 == 0 {
-					if _, err := s.PredicateFilter(pred); err != nil {
-						t.Errorf("PredicateFilter: %v", err)
-					}
-				}
 				if it%7 == 0 {
 					if _, err := s.Snapshot(); err != nil {
 						t.Errorf("Snapshot: %v", err)

@@ -301,13 +301,14 @@ func (sc *Scratch) Cap() int {
 	return cap(sc.conds)*int(unsafe.Sizeof(Cond{})) + 8*(cap(sc.vals)+cap(sc.keys)+cap(sc.attrs))
 }
 
-// query payload flag bits.
+// query payload flag bits. ccfd decodes the via_view hint and ignores
+// it: every query runs the compiled batch probe.
 const queryFlagViaView = 1 << 0
 
 // inserted payload flag bits.
 const insertedFlagStatuses = 1 << 0
 
-// result payload flag bits.
+// result payload flag bits. ccfd writes result frames with flags 0.
 const (
 	resultFlagViaView  = 1 << 0
 	resultFlagCacheHit = 1 << 1

@@ -13,9 +13,6 @@ type ShardedFilter = shard.ShardedFilter
 // ShardOptions configures a ShardedFilter.
 type ShardOptions = shard.Options
 
-// ShardedKeyView is a sharded key-only predicate view (Algorithm 2).
-type ShardedKeyView = shard.KeyView
-
 // FrozenSet is the routed bundle of per-shard Frozen snapshots returned
 // by ShardedFilter.Freeze.
 type FrozenSet = shard.FrozenSet

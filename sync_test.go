@@ -111,11 +111,6 @@ func TestNewShardedPublicAPI(t *testing.T) {
 	if !got[0] || !got[2] {
 		t.Fatalf("QueryBatch = %v", got)
 	}
-	var view *ccf.ShardedKeyView
-	view, err = s.PredicateFilter(ccf.And(ccf.Eq(0, 9)))
-	if err != nil || !view.Contains(1) {
-		t.Fatalf("view: %v, contains(1)=%v", err, view.Contains(1))
-	}
 	snap, err := s.Snapshot()
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
