@@ -417,117 +417,6 @@ func (l *Ladder) Stats() LadderStats {
 	return st
 }
 
-// LadderKeyView is a key-only predicate view across all levels
-// (Algorithm 2 applied per level); Contains is true when any level's
-// view may hold a matching row.
-type LadderKeyView struct {
-	views []*KeyView
-}
-
-// PredicateFilter extracts a key-only view of every level for pred.
-func (l *Ladder) PredicateFilter(pred Predicate) (*LadderKeyView, error) {
-	lv := l.lv
-	views := make([]*KeyView, len(lv))
-	for i, f := range lv {
-		v, err := f.PredicateFilter(pred)
-		if err != nil {
-			return nil, err
-		}
-		views[i] = v
-	}
-	return &LadderKeyView{views: views}, nil
-}
-
-// Contains reports whether key may have a row satisfying the view's
-// predicate in any level.
-func (v *LadderKeyView) Contains(key uint64) bool {
-	for i := len(v.views) - 1; i >= 0; i-- {
-		if v.views[i].Contains(key) {
-			return true
-		}
-	}
-	return false
-}
-
-// SizeBits returns the total packed size across level views.
-func (v *LadderKeyView) SizeBits() int64 {
-	var n int64
-	for _, kv := range v.views {
-		n += kv.SizeBits()
-	}
-	return n
-}
-
-// MatchingEntries returns the total live entries across level views.
-func (v *LadderKeyView) MatchingEntries() int {
-	n := 0
-	for _, kv := range v.views {
-		n += kv.MatchingEntries()
-	}
-	return n
-}
-
-// FrozenLadder bundles per-level immutable Frozen snapshots.
-type FrozenLadder struct {
-	levels []*Frozen
-}
-
-// Freeze snapshots every level into its immutable bit-packed form
-// (vector variants only).
-func (l *Ladder) Freeze() (*FrozenLadder, error) {
-	lv := l.lv
-	frozen := make([]*Frozen, len(lv))
-	for i, f := range lv {
-		fr, err := f.Freeze()
-		if err != nil {
-			return nil, err
-		}
-		frozen[i] = fr
-	}
-	return &FrozenLadder{levels: frozen}, nil
-}
-
-// Query reports whether any frozen level may contain a matching row.
-func (fl *FrozenLadder) Query(key uint64, pred Predicate) bool {
-	for i := len(fl.levels) - 1; i >= 0; i-- {
-		if fl.levels[i].Query(key, pred) {
-			return true
-		}
-	}
-	return false
-}
-
-// QueryKey reports whether any row with the key may exist.
-func (fl *FrozenLadder) QueryKey(key uint64) bool {
-	for i := len(fl.levels) - 1; i >= 0; i-- {
-		if fl.levels[i].QueryKey(key) {
-			return true
-		}
-	}
-	return false
-}
-
-// Levels returns the underlying per-level snapshots, oldest first.
-func (fl *FrozenLadder) Levels() []*Frozen { return fl.levels }
-
-// Rows returns the total rows across levels.
-func (fl *FrozenLadder) Rows() int {
-	n := 0
-	for _, fr := range fl.levels {
-		n += fr.Rows()
-	}
-	return n
-}
-
-// SizeBits returns the total packed size across levels.
-func (fl *FrozenLadder) SizeBits() int64 {
-	var n int64
-	for _, fr := range fl.levels {
-		n += fr.SizeBits()
-	}
-	return n
-}
-
 // Binary format (little-endian):
 //
 //	magic "CCL1" | version | maxLevels | growthFactor | grows | nLevels |

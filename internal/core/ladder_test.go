@@ -241,56 +241,6 @@ func TestLadderStats(t *testing.T) {
 	}
 }
 
-// TestLadderViewsAndFreeze exercises the predicate key-view and frozen
-// aggregates across levels.
-func TestLadderViewsAndFreeze(t *testing.T) {
-	l, err := NewLadder(Params{Variant: VariantChained, NumAttrs: 1, Capacity: 256, Seed: 7},
-		LadderOptions{MaxLevels: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 900
-	for i := 0; i < total; i++ {
-		k, _ := ladderRow(i)
-		if err := l.Insert(k, []uint64{uint64(i % 5)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if l.Levels() < 2 {
-		t.Fatalf("expected growth, got %d level(s)", l.Levels())
-	}
-	pred := And(Eq(0, 3))
-	view, err := l.PredicateFilter(pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frozen, err := l.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frozen.Levels()) != l.Levels() {
-		t.Fatalf("frozen levels %d, want %d", len(frozen.Levels()), l.Levels())
-	}
-	if frozen.Rows() != total {
-		t.Fatalf("frozen rows %d, want %d", frozen.Rows(), total)
-	}
-	for i := 0; i < total; i++ {
-		k, _ := ladderRow(i)
-		if i%5 == 3 && !view.Contains(k) {
-			t.Fatalf("view false negative for row %d", i)
-		}
-		if i%5 == 3 && !frozen.Query(k, pred) {
-			t.Fatalf("frozen false negative for row %d", i)
-		}
-		if !frozen.QueryKey(k) {
-			t.Fatalf("frozen QueryKey false negative for row %d", i)
-		}
-	}
-	if view.SizeBits() <= 0 || view.MatchingEntries() <= 0 || frozen.SizeBits() <= 0 {
-		t.Fatal("degenerate view/frozen sizes")
-	}
-}
-
 // TestLadderBatchMatchesPoint cross-checks the multi-level batch
 // pipeline against scalar queries over present and absent keys, probed
 // once each and again in runs of equal keys, on a ladder of exactly two

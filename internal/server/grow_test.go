@@ -147,14 +147,12 @@ func TestPolicySurvivesRestart(t *testing.T) {
 	reg := NewRegistry(0)
 	reg.AttachStore(st)
 	if _, err := reg.Create("big", shard.Options{
-		Workers: 1,
-		Params:  core.Params{NumAttrs: 1, Capacity: 256, Seed: 2},
+		Params: core.Params{NumAttrs: 1, Capacity: 256, Seed: 2},
 	}, &AutoGrowPolicy{MaxLevels: 12, GrowthFactor: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.Create("fixed", shard.Options{
-		Workers: 1,
-		Params:  core.Params{NumAttrs: 1, Capacity: 256, Seed: 2},
+		Params: core.Params{NumAttrs: 1, Capacity: 256, Seed: 2},
 	}, &AutoGrowPolicy{MaxLevels: -1}); err != nil {
 		t.Fatal(err)
 	}
@@ -206,9 +204,8 @@ func TestPolicyFoldTrigger(t *testing.T) {
 
 	const n = 1024
 	e, err := reg.Create("elastic", shard.Options{
-		Shards:  2,
-		Workers: 1,
-		Params:  core.Params{Variant: core.VariantChained, NumAttrs: 2, Capacity: n, Seed: 9},
+		Shards: 2,
+		Params: core.Params{Variant: core.VariantChained, NumAttrs: 2, Capacity: n, Seed: 9},
 	}, &AutoGrowPolicy{MaxLevels: 6, GrowAtLoad: 0.85, FoldAtLevels: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -55,14 +55,14 @@ type HandlerOptions struct {
 }
 
 // CreateRequest is the body of PUT /filters/{name}. Shards takes 1 to
-// 1024 (0 means 1). Workers bounds the goroutines one batch insert fans
-// out to (see shard.Options.Workers); batch queries run on the request's
+// 1024 (0 means 1). Batch inserts and queries run on the request's
 // goroutine. AutoGrow, when present, enables elastic capacity for the
 // filter (zero-valued fields take the policy defaults); absent, the
 // server's default policy (the -auto-grow flag) applies, if any.
 type CreateRequest struct {
-	Variant  string          `json:"variant"` // plain | chained | bloom | mixed
-	Shards   int             `json:"shards"`
+	Variant string `json:"variant"` // plain | chained | bloom | mixed
+	Shards  int    `json:"shards"`
+	// Deprecated: Workers (JSON "workers") is accepted and ignored.
 	Workers  int             `json:"workers"`
 	Capacity int             `json:"capacity"`
 	NumAttrs int             `json:"num_attrs"`
@@ -229,8 +229,7 @@ func (s *Server) buildMux() http.Handler {
 			return
 		}
 		e, err := reg.Create(r.PathValue("name"), shard.Options{
-			Shards:  req.Shards,
-			Workers: req.Workers,
+			Shards: req.Shards,
 			Params: core.Params{
 				Variant:  variant,
 				Capacity: req.Capacity,

@@ -256,7 +256,7 @@ func (r *Registry) Restore(name string, data []byte) (*Entry, error) {
 	if name == "" {
 		return nil, fmt.Errorf("server: empty filter name")
 	}
-	sf, err := shard.FromSnapshot(data, 0)
+	sf, err := shard.FromSnapshot(data)
 	if err != nil {
 		return nil, err
 	}

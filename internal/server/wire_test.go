@@ -457,20 +457,25 @@ func TestWireRequestsByProtocolMetric(t *testing.T) {
 }
 
 // wireAllocServer builds the fixture for the zero-alloc guards: a
-// volatile filter with rows in it, a server, a request scratch, and
-// 64-key query and insert frames.
-func wireAllocServer(t *testing.T, tracer *trace.Tracer) (*Server, *Entry, *reqScratch, []byte, []byte) {
+// volatile filter with rows in it, a server, a request scratch, and a
+// 64-key query frame.
+func wireAllocServer(t *testing.T, tracer *trace.Tracer) (*Server, *Entry, *reqScratch, []byte) {
 	t.Helper()
 	reg, e := testRegistry(t)
 	insertRows(t, e, 4096)
 	s := NewServer(reg, HandlerOptions{Tracer: tracer})
-	keys := presentKeys(64)
-	flat := make([]uint64, 0, 128)
+	return s, e, new(reqScratch), allocQueryFrame(64, false)
+}
+
+// allocInsertFrame is an insert frame of the first n rows insertRows
+// inserts, with their attributes.
+func allocInsertFrame(n int) []byte {
+	keys := presentKeys(n)
+	flat := make([]uint64, 0, 2*n)
 	for i := range keys {
 		flat = append(flat, uint64(i%4), uint64(i%6))
 	}
-	iframe := wire.AppendInsert(nil, "movies", keys, flat, 2)
-	return s, e, new(reqScratch), allocQueryFrame(64, false), iframe
+	return wire.AppendInsert(nil, "movies", keys, flat, 2)
 }
 
 // presentKeys returns the first n keys insertRows inserts.
@@ -524,7 +529,8 @@ func roundTrip(t *testing.T, s *Server, ws *reqScratch, frame []byte, tr *trace.
 // steady-state, with tracing sampled off and sampled on. query1024 is
 // the batch size of the pushdown workload on the 4-shard filter built
 // with default options; query1024viaview sets the ignored via_view hint,
-// which takes the same path.
+// which takes the same path. insert1024 is the insert batch size of both
+// benchmark workloads on that filter.
 func TestWireZeroAllocRoundTrip(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -547,7 +553,7 @@ func TestWireZeroAllocRoundTrip(t *testing.T) {
 			{"query1024viaview", allocQueryFrame(1024, true)},
 		} {
 			t.Run(tc.name+"/"+q.name, func(t *testing.T) {
-				s, _, ws, _, _ := wireAllocServer(t, tc.tracer)
+				s, _, ws, _ := wireAllocServer(t, tc.tracer)
 				run := func() {
 					tr := tc.tracer.StartRequest("")
 					roundTrip(t, s, ws, q.frame, tr)
@@ -559,18 +565,26 @@ func TestWireZeroAllocRoundTrip(t *testing.T) {
 				}
 			})
 		}
-		t.Run(tc.name+"/insert", func(t *testing.T) {
-			s, _, ws, _, iframe := wireAllocServer(t, tc.tracer)
-			run := func() {
-				tr := tc.tracer.StartRequest("")
-				roundTrip(t, s, ws, iframe, tr)
-				tc.tracer.Finish(tr, http.StatusOK)
-			}
-			run()
-			if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-				t.Fatalf("insert round trip allocates %.1f/op, want 0", allocs)
-			}
-		})
+		for _, in := range []struct {
+			name  string
+			frame []byte
+		}{
+			{"insert", allocInsertFrame(64)},
+			{"insert1024", allocInsertFrame(1024)},
+		} {
+			t.Run(tc.name+"/"+in.name, func(t *testing.T) {
+				s, _, ws, _ := wireAllocServer(t, tc.tracer)
+				run := func() {
+					tr := tc.tracer.StartRequest("")
+					roundTrip(t, s, ws, in.frame, tr)
+					tc.tracer.Finish(tr, http.StatusOK)
+				}
+				run()
+				if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+					t.Fatalf("%s round trip allocates %.1f/op, want 0", in.name, allocs)
+				}
+			})
+		}
 	}
 }
 
@@ -602,7 +616,7 @@ func liveHeap() int64 {
 // so later small requests do not keep megabytes alive.
 func TestOversizedScratchNotKept(t *testing.T) {
 	t.Run("http_pool", func(t *testing.T) {
-		s, _, sc, _, _ := wireAllocServer(t, nil)
+		s, _, sc, _ := wireAllocServer(t, nil)
 		roundTrip(t, s, sc, hugeInListFrame(), nil)
 		putScratch(sc)
 		if getScratch() == sc {
@@ -610,7 +624,7 @@ func TestOversizedScratchNotKept(t *testing.T) {
 		}
 	})
 	t.Run("tcp_conn", func(t *testing.T) {
-		s, _, _, qframe, _ := wireAllocServer(t, nil)
+		s, _, _, qframe := wireAllocServer(t, nil)
 		conn, err := net.Dial("tcp", startWireServer(t, s))
 		if err != nil {
 			t.Fatalf("dial: %v", err)

@@ -14,9 +14,9 @@ import (
 // These tests pin the serving path's allocation discipline: a batch probe
 // through the sharded filter must not allocate in steady state when the
 // caller recycles its result buffer via the *Into entry points. The
-// grouping scratch cycles through a pool; the grouped query path runs
-// with direct method calls, no closures and no goroutines, at any batch
-// size and worker count.
+// grouping scratch cycles through a pool, and batch queries and inserts
+// run their shard groups on the calling goroutine, starting no goroutine
+// at any batch size.
 
 func loadedSharded(t testing.TB, shards int) (*ShardedFilter, []uint64) {
 	t.Helper()
@@ -27,9 +27,8 @@ func loadedSharded(t testing.TB, shards int) (*ShardedFilter, []uint64) {
 func loadedShardedBits(t testing.TB, shards, attrBits int) (*ShardedFilter, []uint64) {
 	t.Helper()
 	return loadedOpts(t, Options{
-		Shards:  shards,
-		Workers: 1,
-		Params:  core.Params{NumAttrs: 2, Capacity: 1 << 14, AttrBits: attrBits, Seed: 5},
+		Shards: shards,
+		Params: core.Params{NumAttrs: 2, Capacity: 1 << 14, AttrBits: attrBits, Seed: 5},
 	}, 1<<13)
 }
 
@@ -59,10 +58,9 @@ func TestQueryBatchIntoSteadyStateZeroAlloc(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"shards=1", Options{Shards: 1, Workers: 1, Params: params}},
-		{"shards=4", Options{Shards: 4, Workers: 1, Params: params}},
-		// The filter ccfd builds: default Options, so Workers is GOMAXPROCS.
-		{"shards=4/default-workers", Options{Shards: 4, Params: params}},
+		{"shards=1", Options{Shards: 1, Params: params}},
+		// The filter ccfd builds: default Options.
+		{"shards=4", Options{Shards: 4, Params: params}},
 	} {
 		s, keys := loadedOpts(t, tc.opts, 1<<13)
 		pred := core.And(core.Eq(0, 3))
@@ -135,44 +133,54 @@ func TestContendedMixSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestInsertBatchIntoSteadyStateZeroAlloc pins batch inserts at 0
+// allocs/op on the single-shard path and the grouped path, up to the
+// shape both benchmark workloads insert: 1024-row batches into the
+// 4-shard filter ccfd builds with default Options.
 func TestInsertBatchIntoSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; alloc counts are meaningless")
 	}
-	s, err := New(Options{
-		Shards:  4,
-		Workers: 1,
-		Params:  core.Params{NumAttrs: 1, Capacity: 1 << 18, Seed: 6},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const batch = 256
-	keys := make([]uint64, batch)
-	attrs := make([][]uint64, batch)
-	for i := range attrs {
-		attrs[i] = []uint64{uint64(i % 5)}
-	}
-	next := uint64(0)
-	fill := func() {
-		for i := range keys {
-			keys[i] = next*2654435761 + 1
-			next++
+	params := core.Params{NumAttrs: 1, Capacity: 1 << 18, Seed: 6}
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		batch int
+	}{
+		{"shards=1", Options{Shards: 1, Params: params}, 256},
+		{"shards=4", Options{Shards: 4, Params: params}, 256},
+		{"shards=4/rows=1024", Options{Shards: 4, Params: params}, 1024},
+	} {
+		s, err := New(tc.opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	errs := make([]error, 0, batch)
-	fill()
-	errs = s.InsertBatchInto(errs, keys, attrs) // warm scratch + kick paths
-	if n := testing.AllocsPerRun(50, func() {
-		fill()
-		errs = s.InsertBatchInto(errs[:0], keys, attrs)
-		for _, err := range errs {
-			if err != nil {
-				t.Fatal(err)
+		keys := make([]uint64, tc.batch)
+		attrs := make([][]uint64, tc.batch)
+		for i := range attrs {
+			attrs[i] = []uint64{uint64(i % 5)}
+		}
+		next := uint64(0)
+		fill := func() {
+			for i := range keys {
+				keys[i] = next*2654435761 + 1
+				next++
 			}
 		}
-	}); n != 0 {
-		t.Errorf("InsertBatchInto allocates %.2f allocs/op, want 0", n)
+		errs := make([]error, 0, tc.batch)
+		fill()
+		errs = s.InsertBatchInto(errs, keys, attrs) // warm scratch + kick paths
+		if n := testing.AllocsPerRun(50, func() {
+			fill()
+			errs = s.InsertBatchInto(errs[:0], keys, attrs)
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}); n != 0 {
+			t.Errorf("%s: InsertBatchInto allocates %.2f allocs/op, want 0", tc.name, n)
+		}
 	}
 }
 
@@ -238,9 +246,8 @@ func BenchmarkShardedQueryBatch(b *testing.B) {
 // inserts, so readers and writers queue on the same shard locks.
 func BenchmarkShardedQueryBatchContended(b *testing.B) {
 	s, err := New(Options{
-		Shards:  4,
-		Workers: 1,
-		Params:  core.Params{NumAttrs: 2, Capacity: 1 << 16, Seed: 5},
+		Shards: 4,
+		Params: core.Params{NumAttrs: 2, Capacity: 1 << 16, Seed: 5},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -305,9 +312,8 @@ func BenchmarkShardedQueryBatchContended(b *testing.B) {
 
 func BenchmarkShardedInsertBatch(b *testing.B) {
 	s, err := New(Options{
-		Shards:  4,
-		Workers: 1,
-		Params:  core.Params{NumAttrs: 1, Capacity: 1 << 22, Seed: 8},
+		Shards: 4,
+		Params: core.Params{NumAttrs: 1, Capacity: 1 << 22, Seed: 8},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -19,7 +19,6 @@ func TestShardedAutoGrow(t *testing.T) {
 	const n = 4096
 	s, err := New(Options{
 		Shards:   4,
-		Workers:  1,
 		AutoGrow: core.LadderOptions{MaxLevels: 6},
 		Params:   core.Params{NumAttrs: 2, Capacity: n, Seed: 5},
 	})
@@ -59,7 +58,7 @@ func TestShardedAutoGrow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := FromSnapshot(snap, 1)
+	back, err := FromSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,6 @@ func TestShardedAutoGrow(t *testing.T) {
 func TestGrowShard(t *testing.T) {
 	s, err := New(Options{
 		Shards:   2,
-		Workers:  1,
 		AutoGrow: core.LadderOptions{MaxLevels: 3},
 		Params:   core.Params{NumAttrs: 1, Capacity: 1024, Seed: 7},
 	})
@@ -117,9 +115,8 @@ func TestGrowShard(t *testing.T) {
 // landed and keeps applying the rest — no abort at the first failure.
 func TestRowStatuses(t *testing.T) {
 	s, err := New(Options{
-		Shards:  1,
-		Workers: 1,
-		Params:  core.Params{Variant: core.VariantPlain, NumAttrs: 1, Capacity: 64, Seed: 3, MaxKicks: 4},
+		Shards: 1,
+		Params: core.Params{Variant: core.VariantPlain, NumAttrs: 1, Capacity: 64, Seed: 3, MaxKicks: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +180,6 @@ func TestGrowFoldTorture(t *testing.T) {
 	const stable = 2048
 	s, err := New(Options{
 		Shards:   4,
-		Workers:  1,
 		AutoGrow: core.LadderOptions{MaxLevels: 8},
 		Params:   core.Params{NumAttrs: 2, Capacity: stable, Seed: 11},
 	})
@@ -200,7 +196,6 @@ func TestGrowFoldTorture(t *testing.T) {
 	// the stable keys, restored over the grown one mid-traffic.
 	foldedSrc, err := New(Options{
 		Shards:   4,
-		Workers:  1,
 		AutoGrow: core.LadderOptions{MaxLevels: 8},
 		Params:   core.Params{NumAttrs: 2, Capacity: 4 * stable, Seed: 11},
 	})
@@ -387,7 +382,6 @@ func TestQueryBatchContextMatchesPointProbes(t *testing.T) {
 	for _, v := range []core.Variant{core.VariantPlain, core.VariantChained, core.VariantBloom, core.VariantMixed} {
 		s, err := New(Options{
 			Shards:   2,
-			Workers:  1,
 			AutoGrow: core.LadderOptions{MaxLevels: 6},
 			Params:   core.Params{Variant: v, NumAttrs: 2, Capacity: 1024, Seed: 9},
 		})

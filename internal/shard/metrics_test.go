@@ -8,7 +8,7 @@ import (
 
 func TestGrowShardCountsGrows(t *testing.T) {
 	s, err := New(Options{
-		Shards: 2, Workers: 1,
+		Shards:   2,
 		AutoGrow: core.LadderOptions{MaxLevels: 4},
 		Params:   core.Params{Variant: core.VariantPlain, NumAttrs: 1, Capacity: 1 << 10, Seed: 3},
 	})

@@ -14,15 +14,14 @@
 // first and enter each shard once per batch, not once per key, probing
 // through core's tile pipeline: fold runs of equal keys, hash each run,
 // read both buckets' per-slot hit masks with simd.MaskSlots, settle, and
-// scatter each run's answer to its positions. A batch query runs its
-// shard groups in order on the calling goroutine: its parallelism is the
+// scatter each run's answer to its positions. Both run their shard groups
+// in shard order on the calling goroutine, whatever the batch size, and
+// the package starts no goroutine: a batch's parallelism is the
 // overlapped memory misses inside each group, and a server gets more by
-// serving connections concurrently. Only batch inserts of 512 rows or
-// more spread their groups over up to Options.Workers goroutines. This is
-// the deployment shape the paper targets (§3): filters built once,
-// shipped to query processors, and probed at high rate during predicate
-// pushdown, where per-key call overhead and serialized cache misses
-// dominate unbatched designs.
+// serving connections concurrently. This is the deployment shape the
+// paper targets (§3): filters built once, shipped to query processors,
+// and probed at high rate during predicate pushdown, where per-key call
+// overhead and serialized cache misses dominate unbatched designs.
 package shard
 
 import (
@@ -31,7 +30,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -70,9 +68,8 @@ type Options struct {
 	// fixed-size, so ErrFull surfaces exactly as before; a larger budget
 	// lets a shard open doubled levels instead of failing inserts.
 	AutoGrow core.LadderOptions
-	// Workers bounds the goroutines used by batch inserts. 0 means
-	// GOMAXPROCS; 1 runs inserts entirely on the calling goroutine. Batch
-	// queries always run on the calling goroutine.
+	// Deprecated: Workers is ignored. Batch inserts, like batch queries,
+	// run on the calling goroutine.
 	Workers int
 	// Params configures each shard's filter. Capacity (or Buckets, if set)
 	// is divided evenly across shards.
@@ -93,9 +90,8 @@ type cell struct {
 // ShardedFilter is a conditional cuckoo filter partitioned by key hash
 // across independent shards. All methods are safe for concurrent use.
 type ShardedFilter struct {
-	cells   []cell
-	seed    atomic.Uint64 // routing salt base; atomic because Restore may swap it
-	workers int
+	cells []cell
+	seed  atomic.Uint64 // routing salt base; atomic because Restore may swap it
 	// gen counts completed Restores; it is bumped while every shard lock
 	// is held. Operations capture it before routing and re-check it under
 	// the shard lock: a mismatch means a Restore swapped the contents
@@ -122,14 +118,7 @@ func New(opts Options) (*ShardedFilter, error) {
 	} else if p.Capacity != 0 {
 		p.Capacity = (p.Capacity + n - 1) / n
 	}
-	w := opts.Workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		return nil, fmt.Errorf("shard: invalid worker count %d", opts.Workers)
-	}
-	s := &ShardedFilter{cells: make([]cell, n), workers: w}
+	s := &ShardedFilter{cells: make([]cell, n)}
 	for i := range s.cells {
 		l, err := core.NewLadder(p, opts.AutoGrow)
 		if err != nil {
@@ -155,9 +144,9 @@ func (s *ShardedFilter) Params() core.Params {
 }
 
 // router is an immutable snapshot of the key→shard routing function,
-// hashing.Key64(key, seed^saltShard) % n. Operations (and frozen sets)
-// capture one up front so routing stays self-consistent even if Restore
-// swaps the seed mid-flight.
+// hashing.Key64(key, seed^saltShard) % n. Operations capture one up front
+// so routing stays self-consistent even if Restore swaps the seed
+// mid-flight.
 type router struct {
 	salt uint64 // hashing.Salt(seed ^ saltShard), hoisted out of every key's hash
 	n    int
@@ -182,11 +171,6 @@ type batchScratch struct {
 	counts []int32
 	order  []int32
 	start  []int32
-	groups []int32
-	// stale is a batch insert's Restore-race flag. It lives in the pooled
-	// scratch (not a local) so the parallel fan-out closure captures only
-	// read-only values and the caller's frame stays heap-free.
-	stale atomic.Bool
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -254,6 +238,17 @@ func (s *ShardedFilter) readCell(c *cell, gen uint64, probe func(f *core.Ladder)
 	return ok
 }
 
+// writeCell is readCell under the cell's write lock, for mutations.
+func (s *ShardedFilter) writeCell(c *cell, gen uint64, apply func(f *core.Ladder)) bool {
+	c.mu.Lock()
+	ok := s.gen.Load() == gen
+	if ok {
+		apply(c.f)
+	}
+	c.mu.Unlock()
+	return ok
+}
+
 // withShard routes key to its shard and runs fn with the shard's filter,
 // under the shard write lock when mutate is set and the read lock
 // otherwise. Routing is computed before entering the shard, so a
@@ -267,18 +262,12 @@ func (s *ShardedFilter) withShard(key uint64, mutate bool, fn func(f *core.Ladde
 	for {
 		gen := s.gen.Load()
 		c := &s.cells[s.shardOf(key)]
-		if !mutate {
-			if s.readCell(c, gen, fn) {
-				return
-			}
-			continue
+		var ok bool
+		if mutate {
+			ok = s.writeCell(c, gen, fn)
+		} else {
+			ok = s.readCell(c, gen, fn)
 		}
-		c.mu.Lock()
-		ok := s.gen.Load() == gen
-		if ok {
-			fn(c.f)
-		}
-		c.mu.Unlock()
 		if ok {
 			return
 		}
@@ -356,58 +345,6 @@ func (s *ShardedFilter) QueryKey(key uint64) bool {
 	return ok
 }
 
-// minKeysPerWorker bounds batch-insert fan-out: spawning a goroutine
-// costs a few microseconds, so it only pays once a worker has a few
-// hundred inserts to amortize it over. Smaller batches run inline — the
-// right shape for servers whose request handlers are already concurrent.
-const minKeysPerWorker = 512
-
-// groupWorkers stages the non-empty shard groups of a batch insert in
-// sc.groups and returns how many workers the grouped spans justify. The
-// caller runs the groups inline when the answer is ≤ 1 — with direct
-// method calls, so the steady-state batch path creates no closures or
-// goroutines — and fans out to runGroupsParallel otherwise.
-func groupWorkers(workers int, sc *batchScratch) int {
-	start := sc.start
-	sc.groups = sc.groups[:0]
-	for sh := 0; sh+1 < len(start); sh++ {
-		if start[sh+1] > start[sh] {
-			sc.groups = append(sc.groups, int32(sh))
-		}
-	}
-	w := workers
-	if max := len(sc.order)/minKeysPerWorker + 1; w > max {
-		w = max
-	}
-	if w > len(sc.groups) {
-		w = len(sc.groups)
-	}
-	return w
-}
-
-// runGroupsParallel runs fn once per staged shard group of a batch insert
-// on a pool of w workers (w ≥ 2, from groupWorkers). fn receives the shard
-// index and the key indexes routed to it.
-func runGroupsParallel(w int, sc *batchScratch, fn func(sh int, idxs []int32)) {
-	order, start := sc.order, sc.start
-	ch := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func() {
-			defer wg.Done()
-			for sh := range ch {
-				fn(sh, order[start[sh]:start[sh+1]])
-			}
-		}()
-	}
-	for _, sh := range sc.groups {
-		ch <- int(sh)
-	}
-	close(ch)
-	wg.Wait()
-}
-
 // InsertBatch adds rows, grouping them by shard and taking each shard's
 // write lock once. The result has one entry per key, nil on success; a
 // shape mismatch between keys and attrs returns a single ErrBatchShape.
@@ -440,72 +377,31 @@ func (s *ShardedFilter) InsertBatchInto(dst []error, keys []uint64, attrs [][]ui
 	if len(keys) == 0 {
 		return errs
 	}
-	for {
-		gen := s.gen.Load()
-		rt := s.router()
-		if rt.n == 1 {
-			var stale atomic.Bool
-			s.insertShardGroup(0, nil, keys, attrs, errs, gen, &stale)
-			if !stale.Load() {
-				return errs
-			}
-			continue
-		}
-		if s.insertGrouped(rt, keys, attrs, errs, gen) {
-			return errs
-		}
-	}
-}
-
-// insertGrouped applies a multi-shard batch insert under one grouping
-// pass, reporting false when a racing Restore invalidated the routing and
-// the batch must retry. The single-worker path runs with direct method
-// calls — no closure, no goroutines — so steady-state grouped inserts
-// allocate nothing; the parallel fan-out closure captures only read-only
-// parameters, keeping the caller's frame off the heap.
-func (s *ShardedFilter) insertGrouped(rt router, keys []uint64, attrs [][]uint64,
-	errs []error, gen uint64) bool {
-	sc := scratchPool.Get().(*batchScratch)
-	sc.stale.Store(false)
-	rt.group(keys, sc)
-	if w := groupWorkers(s.workers, sc); w <= 1 {
-		for _, sh := range sc.groups {
-			s.insertShardGroup(int(sh), sc.order[sc.start[sh]:sc.start[sh+1]],
-				keys, attrs, errs, gen, &sc.stale)
-		}
-	} else {
-		runGroupsParallel(w, sc, func(sh int, idxs []int32) {
-			s.insertShardGroup(sh, idxs, keys, attrs, errs, gen, &sc.stale)
-		})
-	}
-	done := !sc.stale.Load()
-	scratchPool.Put(sc)
-	return done
+	s.eachGroup(nil, keys, func(sh int, idxs []int32, gen uint64) bool {
+		return s.insertShardGroup(sh, idxs, keys, attrs, errs, gen)
+	})
+	return errs
 }
 
 // insertShardGroup applies one shard's span of a batch insert under the
-// shard write lock, so readers never see half-applied rows. idxs == nil
-// means "all keys" (single-shard routing). A generation mismatch means a
-// Restore completed after routing; rows applied so far went into the
-// filters it discarded, so the whole batch retries against the restored
-// contents.
+// shard write lock (writeCell), so readers never see half-applied rows.
+// idxs == nil means "all keys" (single-shard routing). It reports false,
+// applying nothing, when a Restore completed after gen was captured: rows
+// applied to earlier groups went into the filters it discarded, so the
+// whole batch retries against the restored contents.
 func (s *ShardedFilter) insertShardGroup(sh int, idxs []int32, keys []uint64,
-	attrs [][]uint64, errs []error, gen uint64, stale *atomic.Bool) {
-	c := &s.cells[sh]
-	c.mu.Lock()
-	switch {
-	case s.gen.Load() != gen:
-		stale.Store(true)
-	case idxs == nil:
-		for i := range keys {
-			errs[i] = c.f.Insert(keys[i], attrs[i])
+	attrs [][]uint64, errs []error, gen uint64) bool {
+	return s.writeCell(&s.cells[sh], gen, func(f *core.Ladder) {
+		if idxs == nil {
+			for i := range keys {
+				errs[i] = f.Insert(keys[i], attrs[i])
+			}
+			return
 		}
-	default:
 		for _, i := range idxs {
-			errs[i] = c.f.Insert(keys[i], attrs[i])
+			errs[i] = f.Insert(keys[i], attrs[i])
 		}
-	}
-	c.mu.Unlock()
+	})
 }
 
 // QueryBatch answers one membership query per key under pred; see
@@ -560,49 +456,54 @@ func (s *ShardedFilter) QueryBatchContext(ctx context.Context, dst []bool, keys 
 	if len(keys) == 0 {
 		return out, nil
 	}
+	err := s.eachGroup(ctx, keys, func(sh int, idxs []int32, gen uint64) bool {
+		return s.queryShardGroup(sh, idxs, keys, pred, out, gen, tr)
+	})
+	return out, err
+}
+
+// eachGroup is the one grouped loop of the batch operations. It runs fn
+// once per non-empty shard group of keys, in shard order on the calling
+// goroutine, under one routing captured against the Restore generation
+// gen. fn gets the shard, the indexes of the keys routed to it (nil when
+// one shard holds them all) and gen, and reports false when a Restore
+// completed after gen was captured; the whole batch then re-routes and
+// runs again. ctx is checked before each routing attempt and between
+// groups, and on cancellation eachGroup returns ctx's error. The grouping
+// scratch cycles through a pool and fn stays on the stack, so a
+// steady-state batch allocates nothing here.
+func (s *ShardedFilter) eachGroup(ctx context.Context, keys []uint64,
+	fn func(sh int, idxs []int32, gen uint64) bool) error {
 	for {
 		if err := ctxErr(ctx); err != nil {
-			return out, err
+			return err
 		}
 		gen := s.gen.Load()
 		rt := s.router()
 		if rt.n == 1 {
-			if s.queryShardGroup(0, nil, keys, pred, out, gen, tr) {
-				return out, nil
+			if fn(0, nil, gen) {
+				return nil
 			}
 			continue
 		}
-		done, err := s.queryGrouped(ctx, rt, keys, pred, out, gen, tr)
-		if err != nil {
-			return out, err
+		sc := scratchPool.Get().(*batchScratch)
+		order, start := rt.group(keys, sc)
+		done := true
+		var err error
+		for sh := 0; sh < rt.n && done; sh++ {
+			if start[sh] == start[sh+1] {
+				continue
+			}
+			if err = ctxErr(ctx); err != nil {
+				break
+			}
+			done = fn(sh, order[start[sh]:start[sh+1]], gen)
 		}
-		if done {
-			return out, nil
+		scratchPool.Put(sc)
+		if err != nil || done {
+			return err
 		}
 	}
-}
-
-// queryGrouped answers a multi-shard batch query under one grouping pass,
-// running the non-empty shard groups in order with direct method calls,
-// so steady-state grouped probes allocate nothing. It reports false when
-// a racing Restore invalidated the routing and the batch must retry.
-func (s *ShardedFilter) queryGrouped(ctx context.Context, rt router, keys []uint64, pred core.Predicate,
-	out []bool, gen uint64, tr *trace.Req) (bool, error) {
-	sc := scratchPool.Get().(*batchScratch)
-	order, start := rt.group(keys, sc)
-	done := true
-	var err error
-	for sh := 0; sh < rt.n && done; sh++ {
-		if start[sh] == start[sh+1] {
-			continue
-		}
-		if err = ctxErr(ctx); err != nil {
-			break
-		}
-		done = s.queryShardGroup(sh, order[start[sh]:start[sh+1]], keys, pred, out, gen, tr)
-	}
-	scratchPool.Put(sc)
-	return done, err
 }
 
 // ctxErr reports ctx's cancellation state without blocking; a nil ctx
@@ -662,30 +563,6 @@ func markTrue(out []bool, idxs []int32) {
 	for _, i := range idxs {
 		out[i] = true
 	}
-}
-
-// Freeze snapshots every shard into its immutable bit-packed form
-// (vector variants only), taken as a consistent cut under all shard read
-// locks and returned behind the routing captured at freeze time.
-func (s *ShardedFilter) Freeze() (*FrozenSet, error) {
-	for i := range s.cells {
-		s.cells[i].mu.RLock()
-	}
-	defer func() {
-		for i := range s.cells {
-			s.cells[i].mu.RUnlock()
-		}
-	}()
-	rt := s.router() // stable while the read locks exclude Restore
-	shards := make([]*core.FrozenLadder, len(s.cells))
-	for i := range s.cells {
-		fr, err := s.cells[i].f.Freeze()
-		if err != nil {
-			return nil, err
-		}
-		shards[i] = fr
-	}
-	return &FrozenSet{rt: rt, shards: shards}, nil
 }
 
 // GrowthStat is the slice of one shard's state the auto-grow policy
@@ -929,24 +806,17 @@ func (s *ShardedFilter) Restore(data []byte) error {
 }
 
 // FromSnapshot builds a new sharded filter from a Snapshot payload. The
-// shard count and per-shard parameters come from the snapshot; workers
-// follows the same default as Options.Workers.
-func FromSnapshot(data []byte, workers int) (*ShardedFilter, error) {
+// shard count and per-shard parameters come from the snapshot.
+func FromSnapshot(data []byte) (*ShardedFilter, error) {
 	parts, err := parseSnapshot(data)
 	if err != nil {
 		return nil, err
-	}
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		return nil, fmt.Errorf("shard: invalid worker count %d", workers)
 	}
 	filters, err := decodeShards(parts)
 	if err != nil {
 		return nil, err
 	}
-	s := &ShardedFilter{cells: make([]cell, len(parts)), workers: workers}
+	s := &ShardedFilter{cells: make([]cell, len(parts))}
 	for i, f := range filters {
 		s.cells[i].f = f
 	}

@@ -193,7 +193,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 
 	// FromSnapshot rebuilds shape from the payload alone.
-	fresh, err := FromSnapshot(snap, 0)
+	fresh, err := FromSnapshot(snap)
 	if err != nil {
 		t.Fatalf("FromSnapshot: %v", err)
 	}
@@ -208,7 +208,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 	// Corrupt payloads are rejected without panicking.
 	for _, bad := range [][]byte{nil, snap[:8], snap[:len(snap)-3], append(append([]byte(nil), snap...), 0)} {
-		if _, err := FromSnapshot(bad, 0); err == nil {
+		if _, err := FromSnapshot(bad); err == nil {
 			t.Fatal("corrupt snapshot accepted")
 		}
 	}
@@ -222,7 +222,7 @@ func TestSnapshotHugeLengthRejected(t *testing.T) {
 	binary.LittleEndian.PutUint64(crafted[0:], snapshotMagic)
 	binary.LittleEndian.PutUint64(crafted[8:], 1)                   // one shard
 	binary.LittleEndian.PutUint64(crafted[16:], 0x7FFFFFFFFFFFFFF7) // huge length
-	if _, err := FromSnapshot(crafted, 0); err == nil {
+	if _, err := FromSnapshot(crafted); err == nil {
 		t.Fatal("huge-length snapshot accepted")
 	}
 }
@@ -251,10 +251,10 @@ func repeatShard(t *testing.T, n int) []byte {
 // FromSnapshot (and with it the restore route and store recovery) cannot
 // build a filter a create would refuse.
 func TestSnapshotShardBound(t *testing.T) {
-	if s, err := FromSnapshot(repeatShard(t, maxShards+1), 0); err == nil {
+	if s, err := FromSnapshot(repeatShard(t, maxShards+1)); err == nil {
 		t.Fatalf("snapshot of %d shards built %d shards, want an error", maxShards+1, s.Shards())
 	}
-	s, err := FromSnapshot(repeatShard(t, maxShards), 0)
+	s, err := FromSnapshot(repeatShard(t, maxShards))
 	if err != nil || s.Shards() != maxShards {
 		t.Fatalf("snapshot of %d shards: err %v", maxShards, err)
 	}
@@ -290,35 +290,6 @@ func TestKeyViewSurvivesRestore(t *testing.T) {
 	// The filter now answers for the restored contents.
 	if !s.QueryKey(1e15) {
 		t.Fatal("restored filter missing its key")
-	}
-}
-
-func TestFreezeShards(t *testing.T) {
-	s := newTest(t, 4, core.VariantChained)
-	keys, attrs := mkRows(1000)
-	s.InsertBatch(keys, attrs)
-	frozen, err := s.Freeze()
-	if err != nil {
-		t.Fatalf("Freeze: %v", err)
-	}
-	if len(frozen.Shards()) != 4 {
-		t.Fatalf("got %d frozen shards", len(frozen.Shards()))
-	}
-	if frozen.Rows() != len(keys) {
-		t.Fatalf("frozen rows = %d, want %d", frozen.Rows(), len(keys))
-	}
-	if frozen.SizeBits() <= 0 {
-		t.Fatal("frozen size not accounted")
-	}
-	// The set routes keys itself; no access to the internal shard hash
-	// is needed to query it.
-	for i, k := range keys {
-		if !frozen.Query(k, nil) {
-			t.Fatalf("frozen set lost key %d (row %d)", k, i)
-		}
-		if !frozen.QueryKey(k) {
-			t.Fatalf("frozen set QueryKey missed %d", k)
-		}
 	}
 }
 
@@ -380,13 +351,12 @@ func TestInsertBatchAtomicVsSameSeedRestore(t *testing.T) {
 		t.Skip("timing-sweep race regression")
 	}
 	// Sweep the restore start across the batch's lifetime: some round
-	// lands the restore between worker-group applications, the window
+	// lands the restore between shard-group applications, the window
 	// that tore batches before the generation check existed.
 	for round := 0; round < 12; round++ {
 		s, err := New(Options{
-			Shards:  16,
-			Workers: 8,
-			Params:  core.Params{Variant: core.VariantChained, NumAttrs: 2, Capacity: 1 << 18, Seed: 5},
+			Shards: 16,
+			Params: core.Params{Variant: core.VariantChained, NumAttrs: 2, Capacity: 1 << 18, Seed: 5},
 		})
 		if err != nil {
 			t.Fatalf("New: %v", err)
@@ -440,9 +410,8 @@ func TestInsertBatchAtomicVsSameSeedRestore(t *testing.T) {
 // snapshots.
 func TestConcurrentBatchOps(t *testing.T) {
 	s, err := New(Options{
-		Shards:  8,
-		Workers: 4,
-		Params:  core.Params{Variant: core.VariantChained, NumAttrs: 2, Capacity: 1 << 16, Seed: 7},
+		Shards: 8,
+		Params: core.Params{Variant: core.VariantChained, NumAttrs: 2, Capacity: 1 << 16, Seed: 7},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -547,7 +516,7 @@ func TestRestoreRejectsCorruptFlags(t *testing.T) {
 				if err := s.Restore(bad); err == nil {
 					t.Fatalf("Restore accepted flags %#x", flag)
 				}
-				if _, err := FromSnapshot(bad, 0); err == nil {
+				if _, err := FromSnapshot(bad); err == nil {
 					t.Fatalf("FromSnapshot accepted flags %#x", flag)
 				}
 			}

@@ -16,9 +16,8 @@ import (
 // shard locks and the Restore generation fence.
 func TestReadWriteTorture(t *testing.T) {
 	s, err := New(Options{
-		Shards:  4,
-		Workers: 1,
-		Params:  core.Params{Variant: core.VariantPlain, NumAttrs: 1, Capacity: 1 << 15, Seed: 21},
+		Shards: 4,
+		Params: core.Params{Variant: core.VariantPlain, NumAttrs: 1, Capacity: 1 << 15, Seed: 21},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +154,7 @@ func TestReadWriteTorture(t *testing.T) {
 func TestSketchedVariantsReadLocked(t *testing.T) {
 	for _, v := range []core.Variant{core.VariantBloom, core.VariantMixed} {
 		s, err := New(Options{
-			Shards: 2, Workers: 1,
+			Shards: 2,
 			Params: core.Params{Variant: v, NumAttrs: 2, Capacity: 1 << 12, BloomBits: 24, Seed: 31},
 		})
 		if err != nil {

@@ -525,11 +525,7 @@ func (fl *Filter) cleanup() {
 	if err != nil {
 		return
 	}
-	type walFile struct {
-		start uint64
-		name  string
-	}
-	var wals []walFile
+	var wals []walFileRef
 	for _, e := range entries {
 		name := e.Name()
 		if gen, ok := parseSegFileName(name); ok {
@@ -539,7 +535,7 @@ func (fl *Filter) cleanup() {
 			continue
 		}
 		if start, ok := parseWALFileName(name); ok {
-			wals = append(wals, walFile{start, name})
+			wals = append(wals, walFileRef{start, filepath.Join(fl.dir, name)})
 			continue
 		}
 		if filepath.Ext(name) == ".tmp" {
@@ -552,7 +548,7 @@ func (fl *Filter) cleanup() {
 	// (last) is never deleted, and fold-capable filters keep everything.
 	for i := 0; !retainAll && i+1 < len(wals); i++ {
 		if wals[i+1].start <= fl.prevCkptSeq+1 {
-			fl.st.fs.Remove(filepath.Join(fl.dir, wals[i].name))
+			fl.st.fs.Remove(wals[i].path)
 		}
 	}
 	fl.st.fs.SyncDir(fl.dir)

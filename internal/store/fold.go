@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -71,12 +70,6 @@ func (fl *Filter) RequestFoldFrom(origin trace.ID) {
 	}
 }
 
-// walFileRef is one WAL file with the sequence its name encodes.
-type walFileRef struct {
-	start uint64
-	path  string
-}
-
 // sortedWALFiles lists the filter directory's WAL files by start
 // sequence.
 func sortedWALFiles(dir string) ([]walFileRef, error) {
@@ -135,7 +128,7 @@ func (fl *Filter) foldReplay(t *foldTarget, lo, hi uint64,
 				if !allowReset {
 					return errFoldRaced
 				}
-				base, ferr := shard.FromSnapshot(rec.body, fl.st.opts.Workers)
+				base, ferr := shard.FromSnapshot(rec.body)
 				if ferr != nil {
 					return fmt.Errorf("store: fold: base snapshot at seq %d: %w", rec.seq, ferr)
 				}
@@ -173,7 +166,10 @@ func (fl *Filter) foldReplay(t *foldTarget, lo, hi uint64,
 				if !baseSeen {
 					return ErrFoldUnavailable
 				}
-				if berr := foldReplayBatch(t.sf, rec.body); berr != nil {
+				berr := eachBatchRow(rec.body, func(key uint64, attrs []uint64) error {
+					return foldInsert(t.sf, key, attrs)
+				})
+				if berr != nil {
 					return fmt.Errorf("store: fold: replaying batch at seq %d: %w", rec.seq, berr)
 				}
 			default:
@@ -217,31 +213,6 @@ func foldInsert(sf *shard.ShardedFilter, key uint64, attrs []uint64) error {
 	return err
 }
 
-// foldReplayBatch applies an InsertBatch record to the fold target with
-// per-row loss detection (contrast replayBatch, recovery's lenient
-// form). A corrupt body or a lost row returns an error.
-func foldReplayBatch(sf *shard.ShardedFilter, body []byte) error {
-	if len(body) < 4 {
-		return errCorruptRecord
-	}
-	n := int(binary.LittleEndian.Uint32(body))
-	body = body[4:]
-	for i := 0; i < n; i++ {
-		key, attrs, rest, err := decodeRow(body)
-		if err != nil {
-			return err
-		}
-		if err := foldInsert(sf, key, attrs); err != nil {
-			return err
-		}
-		body = rest
-	}
-	if len(body) != 0 {
-		return errCorruptRecord
-	}
-	return nil
-}
-
 // newFoldTarget builds the fresh right-sized filter a fold replays into:
 // same shard count, seed and variant as the live filter, capacity sized
 // for its current row count, same elastic budget for future growth.
@@ -256,7 +227,6 @@ func (fl *Filter) newFoldTarget() (*shard.ShardedFilter, error) {
 	p.Capacity = rows
 	return shard.New(shard.Options{
 		Shards:   live.Shards(),
-		Workers:  fl.st.opts.Workers,
 		AutoGrow: live.AutoGrow(),
 		Params:   p,
 	})

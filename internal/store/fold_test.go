@@ -11,7 +11,6 @@ import (
 func growOpts(capacity int) shard.Options {
 	return shard.Options{
 		Shards:   2,
-		Workers:  1,
 		AutoGrow: core.LadderOptions{MaxLevels: 6},
 		Params:   core.Params{Variant: core.VariantChained, NumAttrs: 2, Capacity: capacity, Seed: 7},
 	}

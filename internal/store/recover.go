@@ -57,16 +57,12 @@ func (s *Store) recoverFilter(name, dir string) (*Filter, error) {
 		return nil, err
 	}
 	var segGens []uint64
-	type walFile struct {
-		start uint64
-		path  string
-	}
-	var wals []walFile
+	var wals []walFileRef
 	for _, e := range entries {
 		if gen, ok := parseSegFileName(e.Name()); ok {
 			segGens = append(segGens, gen)
 		} else if start, ok := parseWALFileName(e.Name()); ok {
-			wals = append(wals, walFile{start, filepath.Join(dir, e.Name())})
+			wals = append(wals, walFileRef{start, filepath.Join(dir, e.Name())})
 		} else if filepath.Ext(e.Name()) == ".tmp" {
 			os.Remove(filepath.Join(dir, e.Name())) // mid-checkpoint crash leftovers
 		}
@@ -101,7 +97,7 @@ func (s *Store) recoverFilter(name, dir string) (*Filter, error) {
 			s.logf("store: %q: segment gen %d unusable (%v), falling back", name, g, err)
 			continue
 		}
-		f, err := shard.FromSnapshot(payload, s.opts.Workers)
+		f, err := shard.FromSnapshot(payload)
 		if err != nil {
 			s.stats.SegmentsBad++
 			s.logf("store: %q: segment gen %d undecodable (%v), falling back", name, g, err)
@@ -142,7 +138,7 @@ func (s *Store) recoverFilter(name, dir string) (*Filter, error) {
 				// A Fold record is the snapshot of the collapsed filter a
 				// background fold swapped in; recovery installs it exactly
 				// like a Restore, reproducing the folded level structure.
-				f, ferr := shard.FromSnapshot(rec.body, s.opts.Workers)
+				f, ferr := shard.FromSnapshot(rec.body)
 				if ferr != nil {
 					s.stats.ReplayErrors++
 					s.logf("store: %q: snapshot record seq %d undecodable: %v", name, rec.seq, ferr)
@@ -184,7 +180,13 @@ func (s *Store) recoverFilter(name, dir string) (*Filter, error) {
 					sf.Delete(key, attrs)
 				}
 			case recInsertBatch:
-				if sf == nil || !replayBatch(sf, rec.body) {
+				// Replay runs onto the pre-crash state, so an insert
+				// error repeats the one the original insert met; only a
+				// malformed body stops the replay.
+				if sf == nil || eachBatchRow(rec.body, func(key uint64, attrs []uint64) error {
+					sf.Insert(key, attrs)
+					return nil
+				}) != nil {
 					s.stats.ReplayErrors++
 					broken = true
 					return errStopReplay
@@ -263,23 +265,4 @@ func walStartsWithSnapshot(path string) bool {
 		return false
 	}
 	return typ == recCreate || typ == recRestore || typ == recFold
-}
-
-// replayBatch applies an InsertBatch record row by row, reporting false
-// on a malformed body.
-func replayBatch(sf *shard.ShardedFilter, body []byte) bool {
-	if len(body) < 4 {
-		return false
-	}
-	n := int(binary.LittleEndian.Uint32(body))
-	body = body[4:]
-	for i := 0; i < n; i++ {
-		key, attrs, rest, err := decodeRow(body)
-		if err != nil {
-			return false
-		}
-		sf.Insert(key, attrs)
-		body = rest
-	}
-	return len(body) == 0
 }

@@ -73,9 +73,6 @@ type Options struct {
 	// this many records since the last one. 0 means 1<<20; negative
 	// disables the records trigger.
 	CheckpointRecords int
-	// Workers is the worker-pool hint for filters rebuilt during
-	// recovery (see shard.Options.Workers). 0 means GOMAXPROCS.
-	Workers int
 	// Logf, when set, receives operational log lines (recovery findings,
 	// checkpoints, corruption fallbacks).
 	Logf func(format string, args ...any)

@@ -14,7 +14,7 @@ func testParams(variant core.Variant) core.Params {
 }
 
 func testShardOpts(variant core.Variant) shard.Options {
-	return shard.Options{Shards: 4, Workers: 1, Params: testParams(variant)}
+	return shard.Options{Shards: 4, Params: testParams(variant)}
 }
 
 func newFilter(t *testing.T, variant core.Variant) *shard.ShardedFilter {
@@ -33,7 +33,7 @@ func newFilterWith(t *testing.T, opts shard.Options) *shard.ShardedFilter {
 // tinyShardOpts keeps torture-test snapshots small so crash sweeps that
 // reopen the store hundreds of times stay fast.
 func tinyShardOpts() shard.Options {
-	return shard.Options{Shards: 2, Workers: 1,
+	return shard.Options{Shards: 2,
 		Params: core.Params{Variant: core.VariantChained, NumAttrs: 2, Capacity: 512, Seed: 7}}
 }
 
@@ -305,7 +305,7 @@ func TestRestoreIsDurable(t *testing.T) {
 	}
 
 	// Build a donor with different shard count and restore it in.
-	donor, err := shard.New(shard.Options{Shards: 2, Workers: 1, Params: testParams(core.VariantChained)})
+	donor, err := shard.New(shard.Options{Shards: 2, Params: testParams(core.VariantChained)})
 	if err != nil {
 		t.Fatalf("donor: %v", err)
 	}
@@ -315,7 +315,7 @@ func TestRestoreIsDurable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	restored, err := shard.FromSnapshot(snap, 1)
+	restored, err := shard.FromSnapshot(snap)
 	if err != nil {
 		t.Fatalf("FromSnapshot: %v", err)
 	}

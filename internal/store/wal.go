@@ -95,6 +95,12 @@ func parseWALFileName(name string) (uint64, bool) {
 	return v, true
 }
 
+// walFileRef is one WAL file with the sequence its name encodes.
+type walFileRef struct {
+	start uint64
+	path  string
+}
+
 // writeWALHeader writes the fixed file header for a log whose first
 // record will carry startSeq.
 func writeWALHeader(w io.Writer, startSeq uint64) error {
@@ -153,6 +159,33 @@ func decodeRow(b []byte) (key uint64, attrs []uint64, rest []byte, err error) {
 		attrs[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
 	return key, attrs, b[8*n:], nil
+}
+
+// eachBatchRow decodes an InsertBatch body and calls fn once per row, in
+// order, so recovery and the fold share one decoder and keep their own
+// error policies. It returns errCorruptRecord (or decodeRow's error) for
+// a malformed body, after fn has seen the rows before the damage, and
+// stops at the first error fn returns.
+func eachBatchRow(body []byte, fn func(key uint64, attrs []uint64) error) error {
+	if len(body) < 4 {
+		return errCorruptRecord
+	}
+	n := int(binary.LittleEndian.Uint32(body))
+	body = body[4:]
+	for i := 0; i < n; i++ {
+		key, attrs, rest, err := decodeRow(body)
+		if err != nil {
+			return err
+		}
+		if err := fn(key, attrs); err != nil {
+			return err
+		}
+		body = rest
+	}
+	if len(body) != 0 {
+		return errCorruptRecord
+	}
+	return nil
 }
 
 // walRecord is one decoded WAL frame.

@@ -13,15 +13,11 @@ type ShardedFilter = shard.ShardedFilter
 // ShardOptions configures a ShardedFilter.
 type ShardOptions = shard.Options
 
-// FrozenSet is the routed bundle of per-shard Frozen snapshots returned
-// by ShardedFilter.Freeze.
-type FrozenSet = shard.FrozenSet
-
 // NewSharded returns a sharded filter configured by opts.
 func NewSharded(opts ShardOptions) (*ShardedFilter, error) { return shard.New(opts) }
 
 // ShardedFromSnapshot rebuilds a sharded filter from a
 // ShardedFilter.Snapshot payload.
-func ShardedFromSnapshot(data []byte, workers int) (*ShardedFilter, error) {
-	return shard.FromSnapshot(data, workers)
+func ShardedFromSnapshot(data []byte) (*ShardedFilter, error) {
+	return shard.FromSnapshot(data)
 }

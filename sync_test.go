@@ -115,7 +115,7 @@ func TestNewShardedPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	restored, err := ccf.ShardedFromSnapshot(snap, 0)
+	restored, err := ccf.ShardedFromSnapshot(snap)
 	if err != nil || restored.Rows() != 3 {
 		t.Fatalf("ShardedFromSnapshot: %v, rows=%d", err, restored.Rows())
 	}
