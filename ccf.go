@@ -45,11 +45,11 @@
 //
 // # Serving
 //
-// For concurrent traffic, SyncFilter guards one filter with a single
-// read-write lock, and ShardedFilter stripes keys across independently
-// locked shards with batched insert/query entry points. The ccfd daemon
-// (cmd/ccfd) serves named sharded filters over HTTP/JSON with a cache of
-// predicate key-views for repeated pushdown predicates.
+// For concurrent traffic, ShardedFilter stripes keys across
+// independently locked shards with batched insert/query entry points; its
+// default single shard guards one filter with one read-write lock. The
+// ccfd daemon (cmd/ccfd) serves named sharded filters over HTTP/JSON and a
+// binary TCP protocol.
 package ccf
 
 import (
@@ -82,7 +82,7 @@ const (
 type Params = core.Params
 
 // Filter is a Conditional Cuckoo Filter. It is not safe for concurrent
-// mutation; see SyncFilter for a synchronized wrapper.
+// mutation; see ShardedFilter for a synchronized one.
 type Filter = core.Filter
 
 // Cond is a single-attribute condition (equality or in-list).

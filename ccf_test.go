@@ -3,7 +3,6 @@ package ccf_test
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"ccf"
@@ -159,83 +158,4 @@ func TestMarshalPublicRoundTrip(t *testing.T) {
 			t.Fatalf("round-trip false negative %d", k)
 		}
 	}
-}
-
-func TestSyncFilterConcurrent(t *testing.T) {
-	s, err := ccf.NewSync(ccf.Params{Variant: ccf.Chained, NumAttrs: 1, Capacity: 1 << 15, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for w := 0; w < 4; w++ {
-		wg.Add(2)
-		go func(w int) {
-			defer wg.Done()
-			for k := uint64(0); k < 2000; k++ {
-				if err := s.Insert(k*4+uint64(w), []uint64{k % 5}); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(w)
-		go func() {
-			defer wg.Done()
-			for k := uint64(0); k < 4000; k++ {
-				s.Query(k, ccf.And(ccf.Eq(0, k%5)))
-				s.QueryKey(k)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if s.Rows() != 8000 {
-		t.Fatalf("Rows = %d, want 8000", s.Rows())
-	}
-	for k := uint64(0); k < 2000; k++ {
-		if !s.Query(k*4, ccf.And(ccf.Eq(0, k%5))) {
-			t.Fatalf("false negative after concurrent load: %d", k*4)
-		}
-	}
-	if s.LoadFactor() <= 0 || s.SizeBits() <= 0 {
-		t.Fatal("accessors broken")
-	}
-	data, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := ccf.NewSync(ccf.Params{Variant: ccf.Chained, NumAttrs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Rows() != 8000 {
-		t.Fatal("sync round trip lost rows")
-	}
-	view, err := s2.PredicateFilter(ccf.And(ccf.Eq(0, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = view
-	if err := s2.Delete(1, []uint64{1}); !errors.Is(err, ccf.ErrUnsupported) {
-		t.Fatalf("sync delete: %v", err)
-	}
-	wrapped := ccf.WrapSync(mustNew(t))
-	if wrapped.QueryKey(12345) {
-		t.Fatal("fresh wrapped filter contains keys")
-	}
-}
-
-func mustNew(t *testing.T) *ccf.Filter {
-	t.Helper()
-	f, err := ccf.New(ccf.Params{Variant: ccf.Chained, NumAttrs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
 }

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"ccf/internal/core"
 	"ccf/internal/hashing"
@@ -54,9 +53,10 @@ const maxShards = 1024
 var (
 	// ErrBatchShape reports keys and attrs slices of different lengths.
 	ErrBatchShape = errors.New("shard: keys and attrs have different lengths")
-	// ErrShardCount reports a Restore snapshot whose shard count does not
-	// match the receiver.
-	ErrShardCount = errors.New("shard: snapshot shard count mismatch")
+	// ErrSnapshotMismatch reports a Restore snapshot whose shard count,
+	// seed or NumAttrs differs from the receiver's. Restore keeps a
+	// filter's key routing and predicate validation fixed for its life.
+	ErrSnapshotMismatch = errors.New("shard: snapshot shard count, seed or NumAttrs differs from the filter's")
 )
 
 // Options configures a ShardedFilter.
@@ -78,27 +78,35 @@ type Options struct {
 
 // cell is one shard: a filter ladder behind a read-write lock, padded so
 // two shards' locks never share a cache line. Readers hold mu for reading
-// (readCell); every mutation of the ladder, level openings included,
-// holds it for writing, and Restore holds every cell's write lock while it
-// replaces f.
+// (read); every mutation of the ladder, level openings and Restore's
+// replacement of f included, holds it for writing (write).
 type cell struct {
 	mu sync.RWMutex
 	f  *core.Ladder
 	_  [64]byte
 }
 
+// read runs probe against the cell's ladder under the cell's read lock.
+func (c *cell) read(probe func(f *core.Ladder)) {
+	c.mu.RLock()
+	probe(c.f)
+	c.mu.RUnlock()
+}
+
+// write runs apply against the cell's ladder under the cell's write lock.
+func (c *cell) write(apply func(f *core.Ladder)) {
+	c.mu.Lock()
+	apply(c.f)
+	c.mu.Unlock()
+}
+
 // ShardedFilter is a conditional cuckoo filter partitioned by key hash
 // across independent shards. All methods are safe for concurrent use.
 type ShardedFilter struct {
 	cells []cell
-	seed  atomic.Uint64 // routing salt base; atomic because Restore may swap it
-	// gen counts completed Restores; it is bumped while every shard lock
-	// is held. Operations capture it before routing and re-check it under
-	// the shard lock: a mismatch means a Restore swapped the contents
-	// (even one restoring an identical seed) and the operation must
-	// re-route. The seed alone cannot detect that, since snapshots of the
-	// same filter carry the same seed.
-	gen atomic.Uint64
+	// seed is the routing salt base. Restore refuses a snapshot with
+	// another seed, so it never changes after construction.
+	seed uint64
 	// metrics holds the always-on instrumentation handles (see Metrics).
 	metrics Metrics
 }
@@ -126,7 +134,7 @@ func New(opts Options) (*ShardedFilter, error) {
 		}
 		s.cells[i].f = l
 	}
-	s.seed.Store(s.cells[0].f.Params().Seed)
+	s.seed = s.cells[0].f.Params().Seed
 	return s, nil
 }
 
@@ -134,7 +142,8 @@ func New(opts Options) (*ShardedFilter, error) {
 func (s *ShardedFilter) Shards() int { return len(s.cells) }
 
 // Params returns the effective per-shard parameters, read under the
-// shard lock so it cannot race with Restore swapping filters.
+// shard lock so it cannot race with Restore swapping filters (a fold
+// changes the capacity; the seed and NumAttrs stay).
 func (s *ShardedFilter) Params() core.Params {
 	c := &s.cells[0]
 	c.mu.RLock()
@@ -143,10 +152,8 @@ func (s *ShardedFilter) Params() core.Params {
 	return p
 }
 
-// router is an immutable snapshot of the key→shard routing function,
-// hashing.Key64(key, seed^saltShard) % n. Operations capture one up front
-// so routing stays self-consistent even if Restore swaps the seed
-// mid-flight.
+// router is the key→shard routing function,
+// hashing.Key64(key, seed^saltShard) % n, with the salt hashed once.
 type router struct {
 	salt uint64 // hashing.Salt(seed ^ saltShard), hoisted out of every key's hash
 	n    int
@@ -218,75 +225,25 @@ func (r router) group(keys []uint64, sc *batchScratch) (order, start []int32) {
 	return order, start
 }
 
-// router returns the current routing snapshot.
-func (s *ShardedFilter) router() router { return newRouter(s.seed.Load(), len(s.cells)) }
+// router returns the filter's key→shard routing.
+func (s *ShardedFilter) router() router { return newRouter(s.seed, len(s.cells)) }
 
-// shardOf routes a key to its shard under the current routing.
-func (s *ShardedFilter) shardOf(key uint64) int { return s.router().shardOf(key) }
-
-// readCell runs probe against the cell's ladder under the cell's read
-// lock. It returns false without probing when gen no longer matches the
-// filter's Restore generation; the caller captured its routing against
-// that generation and must re-route.
-func (s *ShardedFilter) readCell(c *cell, gen uint64, probe func(f *core.Ladder)) bool {
-	c.mu.RLock()
-	ok := s.gen.Load() == gen
-	if ok {
-		probe(c.f)
-	}
-	c.mu.RUnlock()
-	return ok
-}
-
-// writeCell is readCell under the cell's write lock, for mutations.
-func (s *ShardedFilter) writeCell(c *cell, gen uint64, apply func(f *core.Ladder)) bool {
-	c.mu.Lock()
-	ok := s.gen.Load() == gen
-	if ok {
-		apply(c.f)
-	}
-	c.mu.Unlock()
-	return ok
-}
-
-// withShard routes key to its shard and runs fn with the shard's filter,
-// under the shard write lock when mutate is set and the read lock
-// otherwise. Routing is computed before entering the shard, so a
-// concurrent Restore can swap the contents (and possibly the seed) in
-// between; since Restore bumps gen while holding every shard lock,
-// re-checking gen under the lock detects that, and we re-route. The retry
-// makes point operations atomic with respect to Restore: they apply
-// either fully before or fully after it, never with stale routing against
-// fresh contents.
-func (s *ShardedFilter) withShard(key uint64, mutate bool, fn func(f *core.Ladder)) {
-	for {
-		gen := s.gen.Load()
-		c := &s.cells[s.shardOf(key)]
-		var ok bool
-		if mutate {
-			ok = s.writeCell(c, gen, fn)
-		} else {
-			ok = s.readCell(c, gen, fn)
-		}
-		if ok {
-			return
-		}
-	}
-}
+// cellOf returns the shard that key routes to.
+func (s *ShardedFilter) cellOf(key uint64) *cell { return &s.cells[s.router().shardOf(key)] }
 
 // Insert adds a row, locking only the key's shard. With an AutoGrow
 // budget the shard's ladder opens a new level instead of returning
 // ErrFull, under the same write lock.
 func (s *ShardedFilter) Insert(key uint64, attrs []uint64) error {
 	var err error
-	s.withShard(key, true, func(f *core.Ladder) { err = f.Insert(key, attrs) })
+	s.cellOf(key).write(func(f *core.Ladder) { err = f.Insert(key, attrs) })
 	return err
 }
 
 // Delete removes a row (Plain variant only), locking only the key's shard.
 func (s *ShardedFilter) Delete(key uint64, attrs []uint64) error {
 	var err error
-	s.withShard(key, true, func(f *core.Ladder) { err = f.Delete(key, attrs) })
+	s.cellOf(key).write(func(f *core.Ladder) { err = f.Delete(key, attrs) })
 	return err
 }
 
@@ -334,14 +291,14 @@ func (s *ShardedFilter) SetAutoGrow(opts core.LadderOptions) {
 // under its read lock.
 func (s *ShardedFilter) Query(key uint64, pred core.Predicate) bool {
 	var ok bool
-	s.withShard(key, false, func(f *core.Ladder) { ok = f.Query(key, pred) })
+	s.cellOf(key).read(func(f *core.Ladder) { ok = f.Query(key, pred) })
 	return ok
 }
 
 // QueryKey reports whether any row with the key may exist.
 func (s *ShardedFilter) QueryKey(key uint64) bool {
 	var ok bool
-	s.withShard(key, false, func(f *core.Ladder) { ok = f.QueryKey(key) })
+	s.cellOf(key).read(func(f *core.Ladder) { ok = f.QueryKey(key) })
 	return ok
 }
 
@@ -377,21 +334,18 @@ func (s *ShardedFilter) InsertBatchInto(dst []error, keys []uint64, attrs [][]ui
 	if len(keys) == 0 {
 		return errs
 	}
-	s.eachGroup(nil, keys, func(sh int, idxs []int32, gen uint64) bool {
-		return s.insertShardGroup(sh, idxs, keys, attrs, errs, gen)
+	s.eachGroup(nil, keys, func(sh int, idxs []int32) {
+		s.insertShardGroup(sh, idxs, keys, attrs, errs)
 	})
 	return errs
 }
 
 // insertShardGroup applies one shard's span of a batch insert under the
-// shard write lock (writeCell), so readers never see half-applied rows.
-// idxs == nil means "all keys" (single-shard routing). It reports false,
-// applying nothing, when a Restore completed after gen was captured: rows
-// applied to earlier groups went into the filters it discarded, so the
-// whole batch retries against the restored contents.
+// shard write lock, so readers never see half-applied rows. idxs == nil
+// means "all keys" (single-shard routing).
 func (s *ShardedFilter) insertShardGroup(sh int, idxs []int32, keys []uint64,
-	attrs [][]uint64, errs []error, gen uint64) bool {
-	return s.writeCell(&s.cells[sh], gen, func(f *core.Ladder) {
+	attrs [][]uint64, errs []error) {
+	s.cells[sh].write(func(f *core.Ladder) {
 		if idxs == nil {
 			for i := range keys {
 				errs[i] = f.Insert(keys[i], attrs[i])
@@ -430,17 +384,16 @@ func (s *ShardedFilter) QueryBatchInto(dst []bool, keys []uint64, pred core.Pred
 // whatever the batch size. A nil or empty pred is key membership: it
 // answers exactly what QueryKey answers (see core.Ladder.QueryBatchIdxWalk).
 //
-// The predicate is validated once per shard group — under the same read
-// lock as the probes, so a concurrent Restore cannot change
-// NumAttrs between validation and probing; an invalid predicate yields
-// all true, matching Query's conservative no-false-negatives contract. A
-// Restore that races the batch is detected by the generation check and
-// the batch retries, so results always reflect one consistent routing.
+// The predicate is validated once per batch; Restore keeps NumAttrs
+// fixed, so it holds for every group. An invalid predicate yields all
+// true, matching Query's conservative no-false-negatives contract. A
+// Restore that races the batch swaps each shard under its write lock,
+// so each group reads one shard's contents from before it or after it.
 //
 // tr, when non-nil, receives one shard_probe span per shard group (nil
 // probes untraced — the branch is the only cost, preserving the
-// zero-alloc guarantee either way). ctx is checked before each routing
-// attempt and between shard groups; on cancellation the
+// zero-alloc guarantee either way). ctx is checked before routing and
+// between shard groups; on cancellation the
 // batch returns ctx's error with the results produced so far (partial —
 // callers must not serve them). A nil ctx (or one that never expires)
 // costs one nil check per group, keeping the un-deadlined hot path
@@ -456,54 +409,48 @@ func (s *ShardedFilter) QueryBatchContext(ctx context.Context, dst []bool, keys 
 	if len(keys) == 0 {
 		return out, nil
 	}
-	err := s.eachGroup(ctx, keys, func(sh int, idxs []int32, gen uint64) bool {
-		return s.queryShardGroup(sh, idxs, keys, pred, out, gen, tr)
+	if len(pred) > 0 && pred.Validate(s.Params().NumAttrs) != nil {
+		for i := range out {
+			out[i] = true
+		}
+		return out, nil
+	}
+	err := s.eachGroup(ctx, keys, func(sh int, idxs []int32) {
+		s.queryShardGroup(sh, idxs, keys, pred, out, tr)
 	})
 	return out, err
 }
 
 // eachGroup is the one grouped loop of the batch operations. It runs fn
 // once per non-empty shard group of keys, in shard order on the calling
-// goroutine, under one routing captured against the Restore generation
-// gen. fn gets the shard, the indexes of the keys routed to it (nil when
-// one shard holds them all) and gen, and reports false when a Restore
-// completed after gen was captured; the whole batch then re-routes and
-// runs again. ctx is checked before each routing attempt and between
-// groups, and on cancellation eachGroup returns ctx's error. The grouping
-// scratch cycles through a pool and fn stays on the stack, so a
+// goroutine. fn gets the shard and the indexes of the keys routed to it
+// (nil when one shard holds them all). ctx is checked before routing and
+// between groups, and on cancellation eachGroup returns ctx's error. The
+// grouping scratch cycles through a pool and fn stays on the stack, so a
 // steady-state batch allocates nothing here.
-func (s *ShardedFilter) eachGroup(ctx context.Context, keys []uint64,
-	fn func(sh int, idxs []int32, gen uint64) bool) error {
-	for {
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
-		gen := s.gen.Load()
-		rt := s.router()
-		if rt.n == 1 {
-			if fn(0, nil, gen) {
-				return nil
-			}
+func (s *ShardedFilter) eachGroup(ctx context.Context, keys []uint64, fn func(sh int, idxs []int32)) error {
+	if err := ctxErr(ctx); err != nil {
+		return err
+	}
+	rt := s.router()
+	if rt.n == 1 {
+		fn(0, nil)
+		return nil
+	}
+	sc := scratchPool.Get().(*batchScratch)
+	order, start := rt.group(keys, sc)
+	var err error
+	for sh := 0; sh < rt.n; sh++ {
+		if start[sh] == start[sh+1] {
 			continue
 		}
-		sc := scratchPool.Get().(*batchScratch)
-		order, start := rt.group(keys, sc)
-		done := true
-		var err error
-		for sh := 0; sh < rt.n && done; sh++ {
-			if start[sh] == start[sh+1] {
-				continue
-			}
-			if err = ctxErr(ctx); err != nil {
-				break
-			}
-			done = fn(sh, order[start[sh]:start[sh+1]], gen)
+		if err = ctxErr(ctx); err != nil {
+			break
 		}
-		scratchPool.Put(sc)
-		if err != nil || done {
-			return err
-		}
+		fn(sh, order[start[sh]:start[sh+1]])
 	}
+	scratchPool.Put(sc)
+	return err
 }
 
 // ctxErr reports ctx's cancellation state without blocking; a nil ctx
@@ -522,24 +469,13 @@ func ctxErr(ctx context.Context) error {
 }
 
 // queryShardGroup answers one shard's span of a batch query under the
-// shard's read lock (readCell). The predicate is validated once per
-// group, under that lock, so a concurrent Restore cannot change NumAttrs
-// between validation and probing; an invalid predicate yields all true,
-// matching Query's conservative no-false-negatives contract. Untraced (tr
-// nil), the span calls are no-ops and the walk depth goes unreported. It
-// reports false when a Restore completed after gen was captured and the
-// batch must re-route.
+// shard's read lock, with a predicate the caller validated. Untraced (tr
+// nil), the span calls are no-ops and the walk depth goes unreported.
 func (s *ShardedFilter) queryShardGroup(sh int, idxs []int32, keys []uint64,
-	pred core.Predicate, out []bool, gen uint64, tr *trace.Req) bool {
+	pred core.Predicate, out []bool, tr *trace.Req) {
 	sp := tr.Start(trace.PhaseShardProbe)
 	var walked int
-	ok := s.readCell(&s.cells[sh], gen, func(f *core.Ladder) {
-		if pred.Validate(f.Params().NumAttrs) != nil {
-			markTrue(out, idxs)
-			return
-		}
-		walked = f.QueryBatchIdxWalk(out, keys, idxs, pred)
-	})
+	s.cells[sh].read(func(f *core.Ladder) { walked = f.QueryBatchIdxWalk(out, keys, idxs, pred) })
 	n := len(idxs)
 	if idxs == nil {
 		n = len(keys)
@@ -548,21 +484,6 @@ func (s *ShardedFilter) queryShardGroup(sh int, idxs []int32, keys []uint64,
 		Attr(trace.AttrKeys, int64(n)).
 		Attr(trace.AttrLevels, int64(walked)).
 		End()
-	return ok
-}
-
-// markTrue sets out true for the addressed keys (whole batch when idxs
-// is nil), the invalid-predicate conservative answer.
-func markTrue(out []bool, idxs []int32) {
-	if idxs == nil {
-		for i := range out {
-			out[i] = true
-		}
-		return
-	}
-	for _, i := range idxs {
-		out[i] = true
-	}
 }
 
 // GrowthStat is the slice of one shard's state the auto-grow policy
@@ -583,21 +504,12 @@ func (s *ShardedFilter) GrowthStats(dst []GrowthStat) []GrowthStat {
 	} else {
 		dst = dst[:len(s.cells)]
 	}
-	for {
-		gen := s.gen.Load()
-		ok := true
-		for i := range s.cells {
-			if !s.readCell(&s.cells[i], gen, func(f *core.Ladder) {
-				dst[i] = GrowthStat{Levels: f.Levels(), NewestLoad: f.NewestLoadFactor()}
-			}) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return dst
-		}
+	for i := range s.cells {
+		s.cells[i].read(func(f *core.Ladder) {
+			dst[i] = GrowthStat{Levels: f.Levels(), NewestLoad: f.NewestLoadFactor()}
+		})
 	}
+	return dst
 }
 
 // Stats aggregates shard occupancy for monitoring. ShardDetail carries
@@ -624,38 +536,28 @@ type Stats struct {
 // consistent snapshot, while cross-shard skew from in-flight batches
 // remains possible.
 func (s *ShardedFilter) Stats() Stats {
-	for {
-		gen := s.gen.Load()
-		st := Stats{Shards: len(s.cells)}
-		st.ShardLoads = make([]float64, len(s.cells))
-		st.ShardDetail = make([]core.LadderStats, len(s.cells))
-		ok := true
-		for i := range s.cells {
-			var ls core.LadderStats
-			if !s.readCell(&s.cells[i], gen, func(f *core.Ladder) { ls = f.Stats() }) {
-				ok = false
-				break
-			}
-			st.Rows += ls.Rows
-			st.Occupied += ls.Occupied
-			st.Capacity += ls.Capacity
-			st.FreeSlots += ls.FreeSlots
-			st.SizeBits += ls.SizeBits
-			st.Grows += ls.Grows
-			if ls.Levels > st.MaxLevels {
-				st.MaxLevels = ls.Levels
-			}
-			st.ShardLoads[i] = ls.LoadFactor
-			st.ShardDetail[i] = ls
+	st := Stats{Shards: len(s.cells)}
+	st.ShardLoads = make([]float64, len(s.cells))
+	st.ShardDetail = make([]core.LadderStats, len(s.cells))
+	for i := range s.cells {
+		var ls core.LadderStats
+		s.cells[i].read(func(f *core.Ladder) { ls = f.Stats() })
+		st.Rows += ls.Rows
+		st.Occupied += ls.Occupied
+		st.Capacity += ls.Capacity
+		st.FreeSlots += ls.FreeSlots
+		st.SizeBits += ls.SizeBits
+		st.Grows += ls.Grows
+		if ls.Levels > st.MaxLevels {
+			st.MaxLevels = ls.Levels
 		}
-		if !ok {
-			continue // Restore raced; re-read against the new generation
-		}
-		if st.Capacity > 0 {
-			st.LoadFactor = float64(st.Occupied) / float64(st.Capacity)
-		}
-		return st
+		st.ShardLoads[i] = ls.LoadFactor
+		st.ShardDetail[i] = ls
 	}
+	if st.Capacity > 0 {
+		st.LoadFactor = float64(st.Occupied) / float64(st.Capacity)
+	}
+	return st
 }
 
 // Rows returns the total number of accepted rows.
@@ -671,51 +573,31 @@ func (s *ShardedFilter) SizeBits() int64 { return s.Stats().SizeBits }
 // shard's MarshalBinary payload, length-prefixed. Each shard is
 // serialized under its own read lock, one shard at a time, so a snapshot
 // holds up only the writers of the shard it is marshalling. The
-// consistency trade: each shard's payload is individually consistent and
-// a concurrent Restore is excluded by the generation fence (the whole
-// snapshot retries, so the payload can never mix shards from before and
-// after one), but shards are serialized at different instants, so a
-// concurrent mutation batch may be captured on any subset of its shards —
-// including a shard it reached late but not one it reached early, an
-// interleaving an all-locks point-in-time cut could not produce. Callers
-// that need a cut that is exact against in-flight mutations must exclude
-// writers themselves, as internal/store's checkpointer does with its
-// write barrier.
+// consistency trade: each shard's payload is individually consistent,
+// but shards are serialized at different instants, so a concurrent
+// mutation batch, or a concurrent Restore, may be captured on any subset
+// of its shards. Callers that need a cut that is exact against in-flight
+// mutations must exclude writers themselves, as internal/store's
+// checkpointer does with its write barrier.
 func (s *ShardedFilter) Snapshot() ([]byte, error) {
-	for {
-		gen := s.gen.Load()
-		parts := make([][]byte, len(s.cells))
-		ok := true
-		for i := range s.cells {
-			var b []byte
-			var err error
-			if !s.readCell(&s.cells[i], gen, func(f *core.Ladder) {
-				b, err = f.MarshalBinary()
-			}) {
-				ok = false
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = b
+	var buf bytes.Buffer
+	var tmp [8]byte
+	binary.LittleEndian.PutUint64(tmp[:], snapshotMagic)
+	buf.Write(tmp[:])
+	binary.LittleEndian.PutUint64(tmp[:], uint64(len(s.cells)))
+	buf.Write(tmp[:])
+	for i := range s.cells {
+		var b []byte
+		var err error
+		s.cells[i].read(func(f *core.Ladder) { b, err = f.MarshalBinary() })
+		if err != nil {
+			return nil, err
 		}
-		if !ok || s.gen.Load() != gen {
-			continue // Restore raced; serialize the restored contents
-		}
-		var buf bytes.Buffer
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], snapshotMagic)
+		binary.LittleEndian.PutUint64(tmp[:], uint64(len(b)))
 		buf.Write(tmp[:])
-		binary.LittleEndian.PutUint64(tmp[:], uint64(len(s.cells)))
-		buf.Write(tmp[:])
-		for _, b := range parts {
-			binary.LittleEndian.PutUint64(tmp[:], uint64(len(b)))
-			buf.Write(tmp[:])
-			buf.Write(b)
-		}
-		return buf.Bytes(), nil
+		buf.Write(b)
 	}
+	return buf.Bytes(), nil
 }
 
 // parseSnapshot splits a snapshot into per-shard payloads. It refuses
@@ -759,7 +641,9 @@ func parseSnapshot(data []byte) ([][]byte, error) {
 // Each payload is a ladder envelope; bare filter payloads from snapshots
 // written before the elastic-capacity engine decode as one-level ladders
 // (core.Ladder.UnmarshalBinary), so old snapshots and checkpoint
-// segments still restore.
+// segments still restore. Every shard must share shard 0's seed and
+// NumAttrs, as New builds them: a batch routes by one seed and validates
+// its predicate once against one NumAttrs.
 func decodeShards(parts [][]byte) ([]*core.Ladder, error) {
 	ladders := make([]*core.Ladder, len(parts))
 	for i, b := range parts {
@@ -768,39 +652,44 @@ func decodeShards(parts [][]byte) ([]*core.Ladder, error) {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		ladders[i] = l
+		if p, p0 := l.Params(), ladders[0].Params(); p.Seed != p0.Seed || p.NumAttrs != p0.NumAttrs {
+			return nil, fmt.Errorf("shard: shard %d's seed or NumAttrs differs from shard 0's", i)
+		}
 	}
 	return ladders, nil
 }
 
-// Restore replaces the shard contents with a snapshot taken from a filter
-// with the same shard count. Every shard write lock is acquired (in
-// index order) and held across the whole content-and-seed swap, so the
-// restore is atomic with respect to concurrent operations: no insert can
-// route with the old seed into a new shard, and no reader sees a mix of
-// old and new shards.
+// Restore replaces the shard contents with a snapshot of a filter with
+// the receiver's shard count, seed and NumAttrs, and refuses any other
+// with ErrSnapshotMismatch, so a key's shard and a predicate's validity
+// never change. It is meant for contents that hold the same rows, such as
+// a store fold's right-sized rebuild. Each shard's ladder is swapped
+// under that shard's write lock, one shard at a time: an operation that
+// races the Restore sees each shard either before or after its swap, and
+// two concurrent Restores may interleave shard by shard.
 func (s *ShardedFilter) Restore(data []byte) error {
 	parts, err := parseSnapshot(data)
 	if err != nil {
 		return err
 	}
 	if len(parts) != len(s.cells) {
-		return fmt.Errorf("%w: snapshot %d, filter %d", ErrShardCount, len(parts), len(s.cells))
+		return fmt.Errorf("%w: snapshot has %d shards, filter %d", ErrSnapshotMismatch, len(parts), len(s.cells))
 	}
 	// Decode before locking so a corrupt snapshot leaves the filter whole.
 	fresh, err := decodeShards(parts)
 	if err != nil {
 		return err
 	}
-	for i := range s.cells {
-		s.cells[i].mu.Lock()
+	p, want := fresh[0].Params(), s.Params().NumAttrs
+	if p.Seed != s.seed || p.NumAttrs != want {
+		return fmt.Errorf("%w: snapshot seed %d with %d attributes, filter seed %d with %d",
+			ErrSnapshotMismatch, p.Seed, p.NumAttrs, s.seed, want)
 	}
 	for i := range s.cells {
-		s.cells[i].f = fresh[i]
-	}
-	s.seed.Store(fresh[0].Params().Seed)
-	s.gen.Add(1) // bumped under all locks; see the gen field
-	for i := range s.cells {
-		s.cells[i].mu.Unlock()
+		c := &s.cells[i]
+		c.mu.Lock()
+		c.f = fresh[i]
+		c.mu.Unlock()
 	}
 	return nil
 }
@@ -820,6 +709,6 @@ func FromSnapshot(data []byte) (*ShardedFilter, error) {
 	for i, f := range filters {
 		s.cells[i].f = f
 	}
-	s.seed.Store(filters[0].Params().Seed)
+	s.seed = filters[0].Params().Seed
 	return s, nil
 }

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"ccf/internal/core"
 	"ccf/internal/hashing"
@@ -186,10 +185,38 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("rows: restored %d, want %d", dst.Rows(), s.Rows())
 	}
 
-	// Restore with a mismatched shard count must fail cleanly.
-	bad := newTest(t, 2, core.VariantChained)
-	if err := bad.Restore(snap); !errors.Is(err, ErrShardCount) {
-		t.Fatalf("Restore mismatch: %v, want ErrShardCount", err)
+	// A snapshot that would change the routing or the predicate arity is
+	// refused, and the filter keeps its parameters and answers.
+	pred := core.And(core.Eq(0, 3))
+	params, answers := dst.Params(), dst.QueryBatch(keys, pred)
+	for _, tc := range []struct {
+		name   string
+		shards int
+		p      core.Params
+	}{
+		{"shard count", 2, core.Params{Variant: core.VariantChained, NumAttrs: 2, Capacity: 1 << 14, Seed: 42}},
+		{"seed", 4, core.Params{Variant: core.VariantChained, NumAttrs: 2, Capacity: 1 << 14, Seed: 43}},
+		{"NumAttrs", 4, core.Params{Variant: core.VariantChained, NumAttrs: 1, Capacity: 1 << 14, Seed: 42}},
+	} {
+		other, err := New(Options{Shards: tc.shards, Params: tc.p})
+		if err != nil {
+			t.Fatalf("%s: New: %v", tc.name, err)
+		}
+		otherSnap, err := other.Snapshot()
+		if err != nil {
+			t.Fatalf("%s: Snapshot: %v", tc.name, err)
+		}
+		if err := dst.Restore(otherSnap); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Fatalf("%s: Restore: %v, want ErrSnapshotMismatch", tc.name, err)
+		}
+		if got := dst.Params(); got != params {
+			t.Fatalf("%s: Params after a refused Restore = %+v, want %+v", tc.name, got, params)
+		}
+		for i, ok := range dst.QueryBatch(keys, pred) {
+			if ok != answers[i] {
+				t.Fatalf("%s: key %d answers %v after a refused Restore, %v before", tc.name, keys[i], ok, answers[i])
+			}
+		}
 	}
 
 	// FromSnapshot rebuilds shape from the payload alone.
@@ -260,42 +287,61 @@ func TestSnapshotShardBound(t *testing.T) {
 	}
 }
 
-// TestKeyViewSurvivesRestore pins Restore's routing swap: restoring a
-// snapshot of a filter built with a different seed (and so a different
-// shard routing) takes that seed, and the filter then answers for the
-// restored contents.
-func TestKeyViewSurvivesRestore(t *testing.T) {
-	s := newTest(t, 4, core.VariantChained)
-	keys, attrs := mkRows(1500)
+// TestSnapshotMixedShardsRejected: a batch routes by one seed and
+// validates its predicate against one NumAttrs, so every shard of a
+// snapshot must share shard 0's. A snapshot spliced from two filters is
+// refused by FromSnapshot and Restore, and the filter keeps its rows.
+func TestSnapshotMixedShardsRejected(t *testing.T) {
+	s := newTest(t, 2, core.VariantChained)
+	keys, attrs := mkRows(500)
 	s.InsertBatch(keys, attrs)
-
-	other, err := New(Options{
-		Shards: 4,
-		Params: core.Params{Variant: core.VariantChained, NumAttrs: 2, Capacity: 1 << 14, Seed: 99},
-	})
+	snap, err := s.Snapshot()
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatal(err)
 	}
-	other.Insert(1e15, []uint64{0, 0})
-	snap, err := other.Snapshot()
+	own, err := parseSnapshot(snap)
 	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
+		t.Fatal(err)
 	}
-	if err := s.Restore(snap); err != nil {
-		t.Fatalf("Restore: %v", err)
+	for _, p := range []core.Params{
+		{Variant: core.VariantChained, NumAttrs: 1, Capacity: 1 << 14, Seed: 42},
+		{Variant: core.VariantChained, NumAttrs: 2, Capacity: 1 << 14, Seed: 43},
+	} {
+		other, err := New(Options{Shards: 2, Params: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		otherSnap, err := other.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		theirs, err := parseSnapshot(otherSnap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mixed := binary.LittleEndian.AppendUint64(nil, snapshotMagic)
+		mixed = binary.LittleEndian.AppendUint64(mixed, 2)
+		for _, part := range [][]byte{own[0], theirs[1]} {
+			mixed = binary.LittleEndian.AppendUint64(mixed, uint64(len(part)))
+			mixed = append(mixed, part...)
+		}
+		if _, err := FromSnapshot(mixed); err == nil {
+			t.Fatalf("FromSnapshot accepted shard 1 with seed %d and %d attributes", p.Seed, p.NumAttrs)
+		}
+		if err := s.Restore(mixed); err == nil {
+			t.Fatalf("Restore accepted shard 1 with seed %d and %d attributes", p.Seed, p.NumAttrs)
+		}
 	}
-	if got := s.Params().Seed; got != 99 {
-		t.Fatalf("restored seed = %d, want 99", got)
-	}
-	// The filter now answers for the restored contents.
-	if !s.QueryKey(1e15) {
-		t.Fatal("restored filter missing its key")
+	for i, ok := range s.QueryBatch(keys, nil) {
+		if !ok {
+			t.Fatalf("filter lost key %d after a refused restore", keys[i])
+		}
 	}
 }
 
 // TestConcurrentRestore races Restore against readers, writers and
-// Params under -race: the routing seed and filter pointers swap while
-// batches are in flight.
+// Params under -race: each shard's ladder is swapped under its write lock
+// while batches are in flight.
 func TestConcurrentRestore(t *testing.T) {
 	s := newTest(t, 4, core.VariantChained)
 	keys, attrs := mkRows(1000)
@@ -335,72 +381,6 @@ func TestConcurrentRestore(t *testing.T) {
 	for i, ok := range s.QueryBatch(keys, nil) {
 		if !ok {
 			t.Fatalf("key %d lost across concurrent restores", keys[i])
-		}
-	}
-}
-
-// TestInsertBatchAtomicVsSameSeedRestore pins the generation check: a
-// Restore of a snapshot with the SAME seed (the common case — a snapshot
-// of this very filter) racing an InsertBatch must leave the batch either
-// fully applied (it retried after the restore) or fully absent (the
-// restore wiped it); a partial batch means stale-detection failed and
-// rows reported as inserted are silently gone. The seed alone cannot
-// catch this, which is why gen exists.
-func TestInsertBatchAtomicVsSameSeedRestore(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sweep race regression")
-	}
-	// Sweep the restore start across the batch's lifetime: some round
-	// lands the restore between shard-group applications, the window
-	// that tore batches before the generation check existed.
-	for round := 0; round < 12; round++ {
-		s, err := New(Options{
-			Shards: 16,
-			Params: core.Params{Variant: core.VariantChained, NumAttrs: 2, Capacity: 1 << 18, Seed: 5},
-		})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		snap, err := s.Snapshot() // empty filter, same seed
-		if err != nil {
-			t.Fatalf("Snapshot: %v", err)
-		}
-		const n = 200000
-		keys := make([]uint64, n)
-		attrs := make([][]uint64, n)
-		for i := range keys {
-			keys[i] = uint64(i)*2654435761 + 3
-			attrs[i] = []uint64{uint64(i % 4), uint64(i % 3)}
-		}
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for i, err := range s.InsertBatch(keys, attrs) {
-				if err != nil {
-					t.Errorf("insert %d: %v", i, err)
-					return
-				}
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			time.Sleep(time.Duration(round) * 200 * time.Microsecond)
-			if err := s.Restore(snap); err != nil {
-				t.Errorf("Restore: %v", err)
-			}
-		}()
-		wg.Wait()
-		present := 0
-		for _, ok := range s.QueryBatch(keys, nil) {
-			if ok {
-				present++
-			}
-		}
-		// All-or-nothing, modulo key-fingerprint false positives on the
-		// "nothing" side.
-		if present > n/100 && present < n {
-			t.Fatalf("round %d: torn batch: %d/%d keys present after racing restore", round, present, n)
 		}
 	}
 }

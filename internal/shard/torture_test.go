@@ -13,7 +13,7 @@ import (
 // the same shard locks) and asserts the filter's one hard guarantee — no
 // false negatives for rows that are present in every state the filter
 // passes through. Run under -race it is the memory-model check for the
-// shard locks and the Restore generation fence.
+// shard locks, Restore's per-shard swap included.
 func TestReadWriteTorture(t *testing.T) {
 	s, err := New(Options{
 		Shards: 4,
@@ -85,7 +85,7 @@ func TestReadWriteTorture(t *testing.T) {
 	}
 
 	// Restorer: periodically swap the whole contents (same stable keys) so
-	// readers race the generation fence, not just in-place mutation.
+	// readers race Restore's per-shard swap, not just in-place mutation.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

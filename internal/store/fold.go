@@ -21,8 +21,13 @@ import (
 // WAL record, and fold-capable filters retain their whole log history
 // (see Filter.cleanup) — so a fold replays that history into a fresh
 // filter sized for the current row count and swaps it in through the
-// live filter's Restore path, whose generation fence makes the swap
-// atomic against concurrent readers and writers.
+// live filter's Restore. The fresh filter has the live one's shard count,
+// seed and NumAttrs (newFoldTarget), which Restore requires, and the same
+// rows. The swap runs under the barrier's write lock, which every durable
+// insert, delete and grow holds for reading across its append and apply,
+// so no acked row reaches the old contents after the catch-up replay. A
+// read that straddles the swap sees each shard before or after it; both
+// hold every row, so neither side gives a false negative.
 //
 // Replay semantics: the history is read oldest→newest starting from the
 // last Create/Restore record (those carry full snapshots and reset the

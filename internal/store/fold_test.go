@@ -2,6 +2,8 @@ package store
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ccf/internal/core"
@@ -154,6 +156,121 @@ func TestFoldSurvivesCheckpoint(t *testing.T) {
 	checkAllPresent(t, fl.Live(), keys)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFoldUnderTraffic races folds against readers and a durable writer.
+// A fold's Restore swaps shards while readers probe them, and its
+// catch-up replay must see every row acked before the swap: the barrier
+// it holds for writing until the swap is done keeps writers out. No
+// stable key may ever miss, and every acked row answers afterwards.
+func TestFoldUnderTraffic(t *testing.T) {
+	const (
+		nStable    = 2048
+		folds      = 6
+		maxBatches = 300 // each fold replays all history; bound it
+		batch      = 64
+	)
+	st := openStore(t, t.TempDir(), Options{Fsync: FsyncNever})
+	defer st.Close()
+	opts := growOpts(1024)
+	opts.Shards = 4
+	fl, err := st.Create("traffic", newFilterWith(t, opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stable, stAttrs := growRows(nStable)
+	insertAll(t, fl, stable, stAttrs)
+	anyAttr0 := core.And(core.In(0, 0, 1, 2, 3, 4, 5, 6)) // growRows' attribute 0 is i % 7
+
+	stop := make(chan struct{})
+	var misses atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var out []bool
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				lo := (i * 256) % (nStable - 256)
+				pred := core.Predicate(nil)
+				if i%2 == 1 {
+					pred = anyAttr0
+				}
+				out = fl.Live().QueryBatchInto(out[:0], stable[lo:lo+256], pred)
+				for _, ok := range out {
+					if !ok {
+						misses.Add(1)
+					}
+				}
+			}
+		}(r)
+	}
+	var acked []uint64
+	var ackedAttrs [][]uint64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		keys, attrs := make([]uint64, batch), make([][]uint64, batch)
+		for b := 0; b < maxBatches; b++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i := range keys {
+				n := uint64(b*batch + i)
+				keys[i] = n*0x9E3779B97F4A7C15 + 1
+				attrs[i] = []uint64{n % 5, n % 2}
+			}
+			errs, err := fl.InsertBatchInto(nil, keys, attrs)
+			if err != nil {
+				t.Errorf("batch %d: %v", b, err)
+				return
+			}
+			for i, e := range errs {
+				if e != nil {
+					t.Errorf("batch %d row %d: %v", b, i, e)
+					return
+				}
+			}
+			acked = append(acked, keys...)
+			ackedAttrs = append(ackedAttrs, attrs...)
+		}
+	}()
+
+	for i := 0; i < folds; i++ {
+		if err := fl.Grow(i % opts.Shards); err != nil {
+			t.Errorf("Grow: %v", err)
+			break
+		}
+		if err := fl.Fold(); err != nil {
+			t.Errorf("Fold %d: %v", i, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if got := fl.FoldCount(); got != folds {
+		t.Fatalf("FoldCount = %d, want %d", got, folds)
+	}
+	if n := misses.Load(); n != 0 {
+		t.Fatalf("%d stable-key probes missed during folds", n)
+	}
+	checkAllPresent(t, fl.Live(), stable)
+	checkAllPresent(t, fl.Live(), acked)
+	for i, k := range acked {
+		if !fl.Live().Query(k, core.And(core.Eq(0, ackedAttrs[i][0]))) {
+			t.Fatalf("acked row %d (key %d) misses its attribute after %d folds", i, k, folds)
+		}
 	}
 }
 

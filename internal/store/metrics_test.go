@@ -77,10 +77,13 @@ func TestFoldMetricsClassifyOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := makeOps(600) // over the 512-capacity base level
+	ops := makeOps(600)
 	applyOps(t, func(o op) error { return fl.Insert(o.key, o.attrs) }, ops)
-	if fl.Live().Stats().MaxLevels < 2 {
-		t.Skip("filter did not grow; fold would be a no-op for this geometry")
+	if err := fl.Grow(0); err != nil {
+		t.Fatalf("Grow: %v", err)
+	}
+	if lv := fl.Live().Stats().MaxLevels; lv < 2 {
+		t.Fatalf("filter has %d levels after Grow, want at least 2", lv)
 	}
 	if err := fl.Fold(); err != nil {
 		t.Fatalf("Fold: %v", err)

@@ -1,8 +1,8 @@
 // Benchmarks for the serving-path batch APIs: sharded QueryBatch and
-// InsertBatch versus the single-lock SyncFilter baseline. All variants
-// report a comparable "keys/s" metric so the speedup from per-shard
-// locking and batch grouping is visible directly; cmd/ccfd's bench mode
-// emits the same comparison as JSON for trend tracking.
+// InsertBatch versus a single-lock baseline, point operations on a
+// one-shard filter. All variants report a comparable "keys/s" metric so
+// the speedup from per-shard locking and batch grouping is visible
+// directly.
 package ccf_test
 
 import (
@@ -30,23 +30,31 @@ func benchKeys() ([]uint64, [][]uint64) {
 	return keys, attrs
 }
 
+// newPointBaseline returns a one-shard filter holding keys: point
+// operations on it all contend for one read-write lock.
+func newPointBaseline(b *testing.B, capacity int, keys []uint64, attrs [][]uint64) *shard.ShardedFilter {
+	b.Helper()
+	s, err := shard.New(shard.Options{Params: core.Params{NumAttrs: 1, Capacity: capacity, Seed: 5}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, err := range s.InsertBatch(keys, attrs) {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s
+}
+
 // BenchmarkQueryThroughput compares concurrent read throughput: point
-// queries through SyncFilter's global RWMutex versus QueryBatch across
-// 1, 4 and 16 shards.
+// queries through a one-shard filter's single RWMutex versus QueryBatch
+// across 1, 4 and 16 shards.
 func BenchmarkQueryThroughput(b *testing.B) {
 	keys, attrs := benchKeys()
 	pred := ccf.And(ccf.Eq(0, 3))
 
-	b.Run("sync", func(b *testing.B) {
-		sf, err := ccf.NewSync(ccf.Params{NumAttrs: 1, Capacity: benchRows * 2, Seed: 5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := range keys {
-			if err := sf.Insert(keys[i], attrs[i]); err != nil {
-				b.Fatal(err)
-			}
-		}
+	b.Run("point", func(b *testing.B) {
+		sf := newPointBaseline(b, benchRows*2, keys, attrs)
 		var done atomic.Int64
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
@@ -91,20 +99,15 @@ func BenchmarkQueryThroughput(b *testing.B) {
 }
 
 // BenchmarkMixedThroughput measures a 90/10 read/write mix, where the
-// single global lock hurts most: every SyncFilter insert stalls all
-// readers, while a sharded insert blocks only 1/N of the keyspace.
+// single global lock hurts most: every point insert on the one-shard
+// baseline stalls all readers, while a sharded insert blocks only 1/N of
+// the keyspace.
 func BenchmarkMixedThroughput(b *testing.B) {
 	keys, attrs := benchKeys()
 	pred := ccf.And(ccf.Eq(0, 3))
 
-	b.Run("sync", func(b *testing.B) {
-		sf, err := ccf.NewSync(ccf.Params{NumAttrs: 1, Capacity: benchRows * 4, Seed: 5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := range keys {
-			sf.Insert(keys[i], attrs[i])
-		}
+	b.Run("point", func(b *testing.B) {
+		sf := newPointBaseline(b, benchRows*4, keys, attrs)
 		var done atomic.Int64
 		var wkey atomic.Uint64
 		b.ResetTimer()

@@ -4,10 +4,10 @@ import "ccf/internal/shard"
 
 // ShardedFilter partitions a filter across independent shards, each
 // behind its own read-write lock, with batch insert/query entry points
-// that group keys by shard. For mixed read/write traffic from many
-// goroutines it replaces SyncFilter's single global lock; see
-// internal/shard for the serving subsystem built on it and cmd/ccfd for
-// the daemon.
+// that group keys by shard. It serves mixed read/write traffic from many
+// goroutines; with one shard (the default) it is a filter behind a single
+// read-write lock. See internal/shard for the serving subsystem built on
+// it and cmd/ccfd for the daemon.
 type ShardedFilter = shard.ShardedFilter
 
 // ShardOptions configures a ShardedFilter.
