@@ -680,10 +680,10 @@ func (s *ShardedFilter) Restore(data []byte) error {
 	if err != nil {
 		return err
 	}
-	p, want := fresh[0].Params(), s.Params().NumAttrs
-	if p.Seed != s.seed || p.NumAttrs != want {
+	p, numAttrs := fresh[0].Params(), s.Params().NumAttrs
+	if p.Seed != s.seed || p.NumAttrs != numAttrs {
 		return fmt.Errorf("%w: snapshot seed %d with %d attributes, filter seed %d with %d",
-			ErrSnapshotMismatch, p.Seed, p.NumAttrs, s.seed, want)
+			ErrSnapshotMismatch, p.Seed, p.NumAttrs, s.seed, numAttrs)
 	}
 	for i := range s.cells {
 		c := &s.cells[i]
